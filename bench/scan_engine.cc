@@ -7,8 +7,14 @@
 // bytes read, and wall time. The two engines are bit-identical by
 // construction; this harness verifies that on every run.
 //
+// A second section sweeps the fused engine over the disk snapshot at
+// threads {1, 2, 4}: with checksum-aligned blocks every worker reads,
+// verifies and consumes its own blocks. Every sweep run must reproduce
+// the 1-thread fused/disk bits; its wall time and speedup are recorded,
+// never asserted.
+//
 // --smoke additionally asserts the documented scan budget
-// (DESIGN.md "Scan executor"):
+// (DESIGN.md "Scan executor") for every run, sweep included:
 //   fused:    iterative_scans == 2 * iterations,
 //             bootstrap_scans == num_restarts, refine_scans == 3
 //   classic:  iterative_scans == 4 * iterations, refine_scans == 4
@@ -181,6 +187,30 @@ int main(int argc, char** argv) {
     ok = CheckBudget("classic/disk", classic_disk, params) && ok;
   }
   PrintKV("engines bit-identical", ok ? "yes" : "NO");
+
+  PrintHeader("Fused disk scans by thread count");
+  params.fuse_scans = true;
+  double one_thread_seconds = 0.0;
+  for (size_t threads : {1, 2, 4}) {
+    ProclusParams threaded = params;
+    threaded.num_threads = threads;
+    const EngineRun run = RunOnce(*disk, threaded);
+    const std::string name = "fused/disk threads=" + std::to_string(threads);
+    if (threads == 1) one_thread_seconds = run.seconds;
+    PrintKV(name + " seconds", run.seconds);
+    PrintKV(name + " speedup", one_thread_seconds / run.seconds);
+    PrintKV(name + " scans",
+            static_cast<double>(run.clustering.stats.scans_issued));
+    PrintKV(name + " bytes read",
+            static_cast<double>(run.clustering.stats.bytes_read));
+    if (!SameClustering(run.clustering, fused_disk.clustering)) {
+      std::fprintf(stderr, "FAIL: %s disagrees with 1-thread fused/disk\n",
+                   name.c_str());
+      ok = false;
+    }
+    if (smoke) ok = CheckBudget(name, run, threaded) && ok;
+  }
+  PrintKV("thread sweep bit-identical", ok ? "yes" : "NO");
   FinishJson("scan_engine");
   std::remove(disk_path.c_str());
   if (!ok) return 1;

@@ -26,8 +26,8 @@ struct KMeansParams {
   /// Use k-means++ seeding (else uniform random points).
   bool plus_plus_init = true;
   uint64_t seed = 1;
-  /// Worker threads for the scans over in-memory sources. Results are
-  /// bit-identical for every value (block-ordered deterministic
+  /// Worker threads for the scans (see ScanOptions::num_threads). Results
+  /// are bit-identical for every value (block-ordered deterministic
   /// reduction).
   size_t num_threads = 1;
   /// Rows per scan block / disk read.

@@ -65,8 +65,8 @@ struct ClaransParams {
   size_t max_neighbor = 0;  // 0 = use the recommendation.
   MetricKind metric = MetricKind::kManhattan;
   uint64_t seed = 1;
-  /// Worker threads for the assignment scans over in-memory sources.
-  /// Results are bit-identical for every value.
+  /// Worker threads for the assignment scans (see
+  /// ScanOptions::num_threads). Results are bit-identical for every value.
   size_t num_threads = 1;
   /// Rows per scan block / disk read.
   size_t block_rows = 8192;

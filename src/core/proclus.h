@@ -101,9 +101,11 @@ struct ProclusParams {
   MetricKind init_metric = MetricKind::kManhattan;
   /// Seed for all randomness in the run.
   uint64_t seed = 1;
-  /// Worker threads for the data passes over in-memory sources. Results
+  /// Worker threads for the data passes over sources whose blocks can be
+  /// read by position (in-memory data, checksum-aligned disk snapshots;
+  /// see PointSource::ReadRows); other sources scan sequentially. Results
   /// are bit-identical for every value (block-ordered deterministic
-  /// reduction); disk-backed sources always scan sequentially.
+  /// reduction).
   size_t num_threads = 1;
   /// Rows per scan block / disk read.
   size_t block_rows = 8192;

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/sync.h"
 #include "common/thread_pool.h"
 #include "data/sharded_source.h"
 
@@ -19,6 +18,121 @@ namespace {
 bool IsCancelCode(const Status& status) {
   return status.code() == StatusCode::kCancelled ||
          status.code() == StatusCode::kDeadlineExceeded;
+}
+
+// What one scan attempt leaves for ScanExecutor::Run's failure accounting.
+struct ScanAttempt {
+  Status status = Status::OK();
+  // Rows offered to the consumers before the attempt ended.
+  uint64_t delivered_rows = 0;
+  // Cancellation checks made (zero under an inactive context).
+  uint64_t cancel_checks = 0;
+  // Bytes the block-read branch read from storage (Scan() books its own
+  // on the source).
+  uint64_t read_bytes = 0;
+};
+
+// Sequential branch: one Scan() in block order on the calling thread.
+ScanAttempt ScanInOrder(const PointSource& source,
+                        std::span<ScanConsumer* const> consumers,
+                        const ScanOptions& options) {
+  ScanSpec spec;
+  spec.block_rows = options.block_rows;
+  spec.cancel = options.cancel;
+  ScanAttempt attempt;
+  uint64_t delivered_blocks = 0;
+  attempt.status = source.Scan(
+      spec, [&](size_t first, std::span<const double> data, size_t rows) {
+        const size_t block = first / options.block_rows;
+        attempt.delivered_rows += rows;
+        delivered_blocks += 1;
+        for (ScanConsumer* consumer : consumers)
+          consumer->ConsumeBlock(block, first, data, rows);
+      });
+  // One check per delivered block plus the pre-delivery check inside
+  // Scan(); only counted while the context is live.
+  if (options.cancel.active()) attempt.cancel_checks = delivered_blocks + 1;
+  return attempt;
+}
+
+// Reads rows [first, first + count) through ReadRows into `buffer` and
+// offers them to every consumer as block `block`, adding the bytes read
+// from storage to `*read_bytes` (zero-copy views read none).
+Status ReadAndConsume(const PointSource& source,
+                      std::span<ScanConsumer* const> consumers, size_t block,
+                      size_t first, size_t count, std::vector<double>* buffer,
+                      uint64_t* read_bytes) {
+  Result<std::span<const double>> view =
+      source.ReadRows(first, count, buffer);
+  PROCLUS_RETURN_IF_ERROR(view.status());
+  if (source.InMemory() == nullptr) *read_bytes += view->size_bytes();
+  for (ScanConsumer* consumer : consumers)
+    consumer->ConsumeBlock(block, first, *view, count);
+  return Status::OK();
+}
+
+// Block-read branch: ParallelBlocks hands block b to logical worker
+// b % workers, which reads it through ReadRows into the one buffer that
+// worker owns (a zero-copy view for in-memory sources) and offers it to
+// every consumer. Workers share only the read-only source and per-block
+// consumer state at distinct block indices (the ownership contract in
+// engine.h / DESIGN.md §10); each worker's tallies live in its own slot
+// and are summed here, after the pool's completion handshake.
+ScanAttempt ScanByIndex(const PointSource& source,
+                        const ScanGeometry& geometry,
+                        std::span<ScanConsumer* const> consumers,
+                        const ScanOptions& options) {
+  struct Worker {
+    std::vector<double> buffer;
+    Status status = Status::OK();
+    size_t failed_block = 0;  // Valid when !status.ok().
+    uint64_t rows = 0;
+    uint64_t bytes = 0;
+    uint64_t checks = 0;
+  };
+  const size_t workers = std::min(options.num_threads, geometry.num_blocks);
+  std::vector<Worker> slots(workers);
+  const bool active = options.cancel.active();
+  // order: relaxed — advisory stop flag; a worker observing it late only
+  // consumes one extra (already-owned) block, which is harmless: the
+  // attempt is failing anyway and delivered partials are discarded.
+  std::atomic<bool> stop{false};
+  ParallelBlocks(
+      geometry.rows, geometry.block_rows, workers,
+      [&](size_t block, size_t first, size_t count) {
+        if (stop.load(std::memory_order_relaxed)) return;
+        Worker& worker = slots[block % workers];
+        Status status = Status::OK();
+        if (active) {
+          worker.checks += 1;
+          status = options.cancel.Check();
+        }
+        if (status.ok())
+          status = ReadAndConsume(source, consumers, block, first, count,
+                                  &worker.buffer, &worker.bytes);
+        if (!status.ok()) {
+          worker.status = std::move(status);
+          worker.failed_block = block;
+          stop.store(true, std::memory_order_relaxed);
+          return;
+        }
+        worker.rows += count;
+      });
+
+  // The failure of the lowest failed block is reported, as a sequential
+  // scan would have met it first.
+  ScanAttempt attempt;
+  size_t failed_block = geometry.num_blocks;
+  for (const Worker& worker : slots) {
+    attempt.delivered_rows += worker.rows;
+    attempt.cancel_checks += worker.checks;
+    attempt.read_bytes += worker.bytes;
+    if (!worker.status.ok() && worker.failed_block < failed_block) {
+      failed_block = worker.failed_block;
+      attempt.status = worker.status;
+    }
+  }
+  return attempt;
 }
 
 }  // namespace
@@ -55,130 +169,54 @@ Status ScanExecutor::Run(const PointSource& source,
     PROCLUS_RETURN_IF_ERROR(consumer->Prepare(geometry));
 
   const IoCounters before = source.io();
-  const Dataset* memory = source.InMemory();
-  if (memory == nullptr || options_.num_threads <= 1) {
-    // A scan can fail mid-pass (transient I/O error, detected corruption,
-    // short read) after blocks were already delivered. Every consumer is
-    // rolled back (Reset + re-Prepare) and the whole scan re-issued under
-    // the retry policy, so a survived fault changes counters but never
-    // results.
-    const size_t max_attempts =
-        options_.retry.max_attempts == 0 ? 1 : options_.retry.max_attempts;
-    ScanSpec spec;
-    spec.block_rows = options_.block_rows;
-    spec.cancel = options_.cancel;
-    for (size_t attempt = 1;; ++attempt) {
-      uint64_t delivered_rows = 0;
-      uint64_t delivered_blocks = 0;
-      Status status = source.Scan(
-          spec,
-          [&](size_t first, std::span<const double> data, size_t rows) {
-            const size_t block = first / options_.block_rows;
-            delivered_rows += rows;
-            delivered_blocks += 1;
-            for (ScanConsumer* consumer : consumers)
-              consumer->ConsumeBlock(block, first, data, rows);
-          });
-      // One check per delivered block plus the pre-delivery check inside
-      // Scan(); only counted while the context is live.
-      if (options_.stats != nullptr && options_.cancel.active())
-        options_.stats->cancel_checks += delivered_blocks + 1;
-      if (status.ok()) break;
-      if (IsCancelCode(status)) {
-        if (options_.stats != nullptr) {
-          options_.stats->cancelled_scans += 1;
-          if (status.code() == StatusCode::kDeadlineExceeded)
-            options_.stats->deadline_misses += 1;
-          options_.stats->wasted_rows += delivered_rows;
-        }
-        return status;
-      }
-      const bool retryable =
-          IsTransient(status) && attempt < max_attempts;
-      if (options_.stats != nullptr) {
-        options_.stats->failed_scans += 1;
-        options_.stats->wasted_rows += delivered_rows;
-        if (retryable) options_.stats->retries += 1;
-      }
-      if (!retryable) return status;
-      for (ScanConsumer* consumer : consumers) consumer->Reset();
-      for (ScanConsumer* consumer : consumers)
-        PROCLUS_RETURN_IF_ERROR(consumer->Prepare(geometry));
-      PROCLUS_RETURN_IF_ERROR(
-          SleepBackoff(options_.retry, attempt, options_.cancel));
+  // Workers read blocks by position when the source can serve this
+  // geometry that way (a bufferless ReadRows of the first block reads
+  // nothing); otherwise the scan runs in order through Scan().
+  const bool by_index =
+      options_.num_threads > 1 &&
+      source
+          .ReadRows(0, std::min(geometry.block_rows, geometry.rows), nullptr)
+          .ok();
+  // A scan can fail mid-pass (transient I/O error, detected corruption,
+  // short read) after blocks were already delivered. Every consumer is
+  // rolled back (Reset + re-Prepare) and the whole scan re-issued under
+  // the retry policy, so a survived fault changes counters but never
+  // results.
+  const size_t max_attempts =
+      options_.retry.max_attempts == 0 ? 1 : options_.retry.max_attempts;
+  for (size_t attempt = 1;; ++attempt) {
+    const ScanAttempt outcome =
+        by_index ? ScanByIndex(source, geometry, consumers, options_)
+                 : ScanInOrder(source, consumers, options_);
+    if (options_.stats != nullptr)
+      options_.stats->cancel_checks += outcome.cancel_checks;
+    if (outcome.status.ok()) {
+      // Block reads bypass Scan(); book the logical scan on the source.
+      if (by_index) source.RecordScan(geometry.rows, outcome.read_bytes);
+      break;
     }
-  } else {
-    // Parallel region: workers share nothing but the read-only source
-    // view and per-block consumer state at distinct block indices (the
-    // ownership contract in engine.h / DESIGN.md §10). Everything the
-    // executor itself mutates — stats, the RecordScan below, Merge —
-    // happens on this thread outside the region.
-    const size_t d = memory->dims();
-    const std::vector<double>& data = memory->matrix().data();
-    const bool active = options_.cancel.active();
-    // order: relaxed — advisory stop flag; a worker observing it late
-    // only consumes one extra (already-owned) block, which is harmless:
-    // the run is failing anyway and delivered partials are discarded.
-    std::atomic<bool> stop{false};
-    // order: relaxed — pure statistics, read after the pool handshake.
-    std::atomic<uint64_t> checks{0};
-    // order: relaxed — statistic (rows consumed before a stop), read
-    // after the pool handshake.
-    std::atomic<uint64_t> consumed_rows{0};
-    // First failure wins; workers race to it under the mutex.
-    struct FirstError {
-      Mutex mu;
-      Status status PROCLUS_GUARDED_BY(mu) = Status::OK();
-    } fail;
-    ParallelBlocks(geometry.rows, options_.block_rows, options_.num_threads,
-                   [&](size_t block, size_t first, size_t count) {
-                     if (active) {
-                       if (stop.load(std::memory_order_relaxed)) return;
-                       checks.fetch_add(1, std::memory_order_relaxed);
-                       Status status = options_.cancel.Check();
-                       if (!status.ok()) {
-                         {
-                           MutexLock lock(fail.mu);
-                           if (fail.status.ok())
-                             fail.status = std::move(status);
-                         }
-                         stop.store(true, std::memory_order_relaxed);
-                         return;
-                       }
-                     }
-                     std::span<const double> view(data.data() + first * d,
-                                                  count * d);
-                     for (ScanConsumer* consumer : consumers)
-                       consumer->ConsumeBlock(block, first, view, count);
-                     if (active)
-                       consumed_rows.fetch_add(count,
-                                               std::memory_order_relaxed);
-                   });
-    // Workers' writes are published by the pool's completion handshake;
-    // the lock below is for the annotation discipline, not for ordering.
-    Status cancelled;
-    {
-      MutexLock lock(fail.mu);
-      cancelled = fail.status;
-    }
-    if (options_.stats != nullptr && active)
-      options_.stats->cancel_checks += checks.load(std::memory_order_relaxed);
-    if (!cancelled.ok()) {
-      // Record what was actually visited before the stop took hold.
-      source.RecordScan(consumed_rows.load(std::memory_order_relaxed),
-                        /*bytes=*/0);
+    if (IsCancelCode(outcome.status)) {
       if (options_.stats != nullptr) {
         options_.stats->cancelled_scans += 1;
-        if (cancelled.code() == StatusCode::kDeadlineExceeded)
+        if (outcome.status.code() == StatusCode::kDeadlineExceeded)
           options_.stats->deadline_misses += 1;
-        options_.stats->wasted_rows +=
-            consumed_rows.load(std::memory_order_relaxed);
+        options_.stats->wasted_rows += outcome.delivered_rows;
       }
-      return cancelled;
+      return outcome.status;
     }
-    // The zero-copy parallel path bypasses Scan(); keep the source's
-    // counters truthful anyway.
-    source.RecordScan(geometry.rows, /*bytes=*/0);
+    const bool retryable =
+        IsTransient(outcome.status) && attempt < max_attempts;
+    if (options_.stats != nullptr) {
+      options_.stats->failed_scans += 1;
+      options_.stats->wasted_rows += outcome.delivered_rows;
+      if (retryable) options_.stats->retries += 1;
+    }
+    if (!retryable) return outcome.status;
+    for (ScanConsumer* consumer : consumers) consumer->Reset();
+    for (ScanConsumer* consumer : consumers)
+      PROCLUS_RETURN_IF_ERROR(consumer->Prepare(geometry));
+    PROCLUS_RETURN_IF_ERROR(
+        SleepBackoff(options_.retry, attempt, options_.cancel));
   }
 
   for (ScanConsumer* consumer : consumers)

@@ -12,7 +12,9 @@
 // Determinism contract (inherited from common/parallel.h and preserved for
 // every consumer the executor runs):
 //  * ConsumeBlock is invoked exactly once per block; concurrently for
-//    distinct blocks when the source is in memory and num_threads > 1,
+//    distinct blocks when num_threads > 1 and the source can read the
+//    scan's blocks by position (PointSource::ReadRows: in-memory sources,
+//    and disk snapshots whose checksum blocks align with block_rows),
 //    sequentially in block order otherwise. A consumer must only touch
 //    state owned by that block (keyed by block_index) or per-point state
 //    at disjoint row ranges (keyed by first_row).
@@ -36,12 +38,15 @@
 // executor itself holds no locks. Its safety argument is pure ownership
 // partitioning — during the parallel region each worker touches only
 // per-block consumer state keyed by its block index (or disjoint per-row
-// ranges), Prepare/Merge/Reset and every RunStats/IoCounters write happen
-// on the calling thread strictly before or after that region, and the
-// retry path (Reset + re-Prepare + re-issue) runs entirely on the calling
-// thread between attempts. The only cross-thread cells are the
-// PointSource IoCounters (relaxed GuardedCounters, see
-// data/point_source.h). The locking that does exist lives one layer down
+// ranges) plus its own worker slot: the one block buffer it reads into
+// and its tallies (blocks map to workers round-robin, so block % workers
+// names the owner). Prepare/Merge/Reset, the sum of the worker tallies
+// and every RunStats/IoCounters write happen on the calling thread
+// strictly before or after that region, and the retry path (Reset +
+// re-Prepare + re-issue) runs entirely on the calling thread between
+// attempts. The only cross-thread cells are the PointSource IoCounters
+// (relaxed GuardedCounters, see data/point_source.h) and the region's
+// relaxed stop flag. The locking that does exist lives one layer down
 // in the ThreadPool, whose discipline is compile-checked via the
 // annotations in common/sync.h under the `tsa` preset.
 
@@ -151,8 +156,10 @@ class ScanConsumer {
 /// Execution options for a scan (shared by the pass wrappers as
 /// PassOptions).
 struct ScanOptions {
-  /// Worker threads for in-memory sources (1 = sequential). Results are
-  /// independent of this value.
+  /// Logical workers for a scan whose blocks the source can read by
+  /// position (PointSource::ReadRows); other sources are scanned
+  /// sequentially (1 = sequential). Results are independent of this
+  /// value.
   size_t num_threads = 1;
   /// Rows per block (and per disk read).
   size_t block_rows = kDefaultBlockRows;
@@ -189,11 +196,14 @@ class ScanExecutor {
 
   /// Runs one scan: Prepare on every consumer, one ConsumeBlock per block
   /// per consumer, then Merge on every consumer in list order. Requires
-  /// at least one consumer. A ShardedSource whose shard boundaries align
-  /// with block_rows is delegated to the ShardedScanExecutor (per-shard
-  /// parallel scan, per-shard retry) — the results are bit-identical
-  /// either way, so callers need not know whether their source is
-  /// sharded.
+  /// at least one consumer. With num_threads > 1, blocks the source can
+  /// read by position are read and consumed on every worker; any other
+  /// source is scanned in order through Scan(). Both branches share one
+  /// retry/cancel loop and give the same bits. A ShardedSource whose
+  /// shard boundaries align with block_rows is delegated to the
+  /// ShardedScanExecutor (per-shard parallel scan, per-shard retry) — the
+  /// results are bit-identical either way, so callers need not know
+  /// whether their source is sharded.
   Status Run(const PointSource& source,
              std::span<ScanConsumer* const> consumers) const;
   Status Run(const PointSource& source,

@@ -36,8 +36,9 @@
 // (hangs included), so any retry policy with max_attempts > max_consecutive
 // is guaranteed to make progress. `kill_after_ops` turns every operation
 // from that index on into a permanent failure — a deterministic "crash"
-// for checkpoint/resume tests. InMemory() deliberately returns nullptr so
-// the executor's zero-copy parallel path cannot bypass injection.
+// for checkpoint/resume tests. InMemory() deliberately returns nullptr and
+// the block-read hook keeps its declining default, so the executor's
+// parallel block-read branch cannot bypass injection.
 
 #ifndef PROCLUS_DATA_FAULT_SOURCE_H_
 #define PROCLUS_DATA_FAULT_SOURCE_H_

@@ -5,14 +5,23 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "common/sync.h"
 
 namespace proclus {
+
+Result<std::span<const double>> PointSource::ReadRowsAt(
+    size_t first, size_t rows, std::vector<double>* /*buffer*/) const {
+  return Status::Unimplemented("rows [" + std::to_string(first) + ", " +
+                               std::to_string(first + rows) +
+                               ") cannot be read by position");
+}
 
 // ---------- MemorySource ----------
 
@@ -62,6 +71,19 @@ std::string ShortReadDetail(const std::string& path, uint64_t offset,
          std::to_string(actual < 0 ? 0 : actual);
 }
 
+// The one DataLoss format for a checksum block whose digest disagrees
+// with the table, shared by the streaming scan verifier and
+// DiskSource::ReadVerified.
+Status ChecksumMismatch(const std::string& path, size_t block,
+                        uint64_t offset, uint64_t expected,
+                        uint64_t computed, const std::string& what) {
+  return Status::DataLoss("checksum mismatch in '" + path + "' block " +
+                          std::to_string(block) + " (byte offset " +
+                          std::to_string(offset) + ") during " + what +
+                          ": expected " + std::to_string(expected) +
+                          ", computed " + std::to_string(computed));
+}
+
 // Streaming verifier over a snapshot's checksum blocks, independent of
 // the scan tile geometry (the two block sizes need not align). Feed()
 // consumes rows in scan order and reports the first mismatched checksum
@@ -97,13 +119,10 @@ class ChecksumStream {
           rows_hashed_ == total_rows_) {
         const uint64_t digest = hasher_.Digest();
         if (digest != checksums_[block_]) {
-          return Status::DataLoss(
-              "checksum mismatch in '" + path_ + "' block " +
-              std::to_string(block_) + " (byte offset " +
-              std::to_string(data_offset_ +
-                             block_ * checksum_block_rows_ * row_bytes_) +
-              "): expected " + std::to_string(checksums_[block_]) +
-              ", computed " + std::to_string(digest));
+          return ChecksumMismatch(
+              path_, block_,
+              data_offset_ + block_ * checksum_block_rows_ * row_bytes_,
+              checksums_[block_], digest, "scan");
         }
         hasher_.Reset();
         ++block_;
@@ -380,14 +399,68 @@ Status DiskSource::ScanPrefetch(const ScanSpec& spec,
   return Status::OK();
 }
 
+Status DiskSource::ReadVerified(std::istream& in, size_t first, size_t rows,
+                                double* out, const std::string& what) const {
+  PROCLUS_DCHECK(checksums_.empty() || first % checksum_block_rows_ == 0);
+  PROCLUS_DCHECK(checksums_.empty() || first + rows == rows_ ||
+                 rows % checksum_block_rows_ == 0);
+  const size_t row_bytes = cols_ * sizeof(double);
+  const uint64_t offset = data_offset_ + first * row_bytes;
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(reinterpret_cast<char*>(out),
+          static_cast<std::streamsize>(rows * row_bytes));
+  if (!in)
+    return Status::IOError(what + " failed in " +
+                           ShortReadDetail(path_, offset, rows * row_bytes,
+                                           in.gcount()));
+  if (checksums_.empty()) return Status::OK();
+  const char* bytes = reinterpret_cast<const char*>(out);
+  for (size_t row = first; row < first + rows; row += checksum_block_rows_) {
+    const size_t block = row / checksum_block_rows_;
+    const size_t block_bytes =
+        std::min(checksum_block_rows_, rows_ - row) * row_bytes;
+    const uint64_t digest =
+        Xxh64::Hash(bytes + (row - first) * row_bytes, block_bytes);
+    if (digest != checksums_[block])
+      return ChecksumMismatch(path_, block, data_offset_ + row * row_bytes,
+                              checksums_[block], digest, what);
+  }
+  return Status::OK();
+}
+
+Result<std::span<const double>> DiskSource::ReadRowsAt(
+    size_t first, size_t rows, std::vector<double>* buffer) const {
+  // A checksum block read in part cannot be verified, so only ranges
+  // whose ends are checksum-block boundaries (or the end of the data)
+  // are served; a scan whose blocks are not aligned takes Scan().
+  auto boundary = [&](size_t row) {
+    return checksums_.empty() || row == rows_ ||
+           row % checksum_block_rows_ == 0;
+  };
+  const std::string range =
+      "rows [" + std::to_string(first) + ", " + std::to_string(first + rows) +
+      ")";
+  if (!boundary(first) || !boundary(first + rows))
+    return Status::Unimplemented(range + " of '" + path_ +
+                                 "' are not checksum-block aligned");
+  if (buffer == nullptr) return std::span<const double>();
+  std::ifstream in(path_, std::ios::binary);
+  if (!in) return Status::IOError("cannot reopen '" + path_ + "'");
+  buffer->resize(rows * cols_);
+  PROCLUS_RETURN_IF_ERROR(
+      ReadVerified(in, first, rows, buffer->data(), "block read of " + range));
+  return std::span<const double>(buffer->data(), rows * cols_);
+}
+
 Result<Matrix> DiskSource::Fetch(std::span<const size_t> indices) const {
   std::ifstream in(path_, std::ios::binary);
   if (!in) return Status::IOError("cannot reopen '" + path_ + "'");
   Matrix out(indices.size(), cols_);
   const size_t row_bytes = cols_ * sizeof(double);
-  // v2 fetches read and verify the whole checksum block containing the
-  // row; the last verified block is cached so runs of nearby indices pay
-  // for it once.
+  // Each fetch reads and verifies the whole checksum block containing the
+  // row (one row for unverified v1 snapshots); the last block read is
+  // cached so runs of nearby indices pay for it once.
+  const size_t unit_rows = checksums_.empty() ? 1 : checksum_block_rows_;
   std::vector<double> block_buf;
   size_t cached_block = std::numeric_limits<size_t>::max();
   uint64_t bytes_read = 0;
@@ -396,6 +469,7 @@ Result<Matrix> DiskSource::Fetch(std::span<const size_t> indices) const {
     if (idx >= rows_)
       return Status::OutOfRange("point index " + std::to_string(idx) +
                                 " out of range");
+    const size_t block = idx / unit_rows;
     Status status = RunWithRetry(retry_, [&]() -> Status {
       if (!in || !in.is_open()) {
         // A failed attempt leaves the stream in an error state; reopen for
@@ -406,56 +480,21 @@ Result<Matrix> DiskSource::Fetch(std::span<const size_t> indices) const {
         cached_block = std::numeric_limits<size_t>::max();
         if (!in) return Status::IOError("cannot reopen '" + path_ + "'");
       }
-      if (checksums_.empty()) {
-        const uint64_t offset = data_offset_ + idx * row_bytes;
-        in.seekg(static_cast<std::streamoff>(offset));
-        in.read(reinterpret_cast<char*>(out.row(r).data()),
-                static_cast<std::streamsize>(row_bytes));
-        if (!in)
-          return Status::IOError("fetch of point " + std::to_string(idx) +
-                                 " failed in " +
-                                 ShortReadDetail(path_, offset, row_bytes,
-                                                 in.gcount()));
-        bytes_read += row_bytes;
-        return Status::OK();
-      }
-      const size_t block = idx / checksum_block_rows_;
-      if (block != cached_block) {
-        const size_t block_first = block * checksum_block_rows_;
-        const size_t block_rows =
-            std::min(checksum_block_rows_, rows_ - block_first);
-        const uint64_t offset = data_offset_ + block_first * row_bytes;
-        block_buf.resize(block_rows * cols_);
-        in.seekg(static_cast<std::streamoff>(offset));
-        in.read(reinterpret_cast<char*>(block_buf.data()),
-                static_cast<std::streamsize>(block_rows * row_bytes));
-        if (!in)
-          return Status::IOError("fetch of point " + std::to_string(idx) +
-                                 " failed in " +
-                                 ShortReadDetail(path_, offset,
-                                                 block_rows * row_bytes,
-                                                 in.gcount()));
-        bytes_read += block_rows * row_bytes;
-        const uint64_t digest =
-            Xxh64::Hash(block_buf.data(), block_rows * row_bytes);
-        if (digest != checksums_[block]) {
-          return Status::DataLoss(
-              "checksum mismatch in '" + path_ + "' block " +
-              std::to_string(block) + " (byte offset " +
-              std::to_string(offset) + ") while fetching point " +
-              std::to_string(idx) + ": expected " +
-              std::to_string(checksums_[block]) + ", computed " +
-              std::to_string(digest));
-        }
-        cached_block = block;
-      }
-      std::memcpy(out.row(r).data(),
-                  block_buf.data() +
-                      (idx - block * checksum_block_rows_) * cols_,
-                  row_bytes);
+      if (block == cached_block) return Status::OK();
+      const size_t block_first = block * unit_rows;
+      const size_t block_rows = std::min(unit_rows, rows_ - block_first);
+      block_buf.resize(block_rows * cols_);
+      PROCLUS_RETURN_IF_ERROR(ReadVerified(
+          in, block_first, block_rows, block_buf.data(),
+          "fetch of point " + std::to_string(idx)));
+      bytes_read += block_rows * row_bytes;
+      cached_block = block;
       return Status::OK();
     });
     if (!status.ok()) return status;
+    std::memcpy(out.row(r).data(),
+                block_buf.data() + (idx - block * unit_rows) * cols_,
+                row_bytes);
   }
   RecordFetch(indices.size(), bytes_read);
   return out;

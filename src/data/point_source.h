@@ -12,15 +12,21 @@
 //    disk source reads through a reusable buffer.
 //  * Fetch(indices) — materializes a small set of points (samples,
 //    medoids) by position.
+//  * ReadRows(first, rows, buffer) — reads one row range by position
+//    into a caller-owned buffer (zero-copy for in-memory sources). The
+//    scan executor's parallel branch is built on it: each worker reads
+//    and consumes its own blocks, so a disk source's reads, checksum
+//    verification and consumer compute all run on every worker.
 //
-// Implementations must support concurrent Scan/Fetch calls from multiple
-// threads (the disk source opens a private stream per call).
+// Implementations must support concurrent Scan/Fetch/ReadRows calls from
+// multiple threads (the disk source opens a private stream per call).
 
 #ifndef PROCLUS_DATA_POINT_SOURCE_H_
 #define PROCLUS_DATA_POINT_SOURCE_H_
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -108,9 +114,30 @@ class PointSource {
   /// indices.
   virtual Result<Matrix> Fetch(std::span<const size_t> indices) const = 0;
 
-  /// Non-null when the full point set is addressable in memory; enables
-  /// the zero-copy parallel pass path.
+  /// Non-null when the full point set is addressable in memory; ReadRows
+  /// then hands out zero-copy views of it.
   virtual const Dataset* InMemory() const { return nullptr; }
+
+  /// Reads rows [first, first + rows) by position and returns a view of
+  /// them: a zero-copy span for in-memory sources, otherwise a view of
+  /// `*buffer` (resized as needed) holding the rows just read. With a
+  /// null `buffer` nothing is read and the status alone says whether the
+  /// range can be served. kUnimplemented means the source cannot read the
+  /// range by position; ScanExecutor then scans it through Scan(). Books
+  /// nothing in io(): the caller that assembles the reads into a logical
+  /// scan records it. Thread-compatible: concurrent calls must pass
+  /// distinct buffers.
+  Result<std::span<const double>> ReadRows(
+      size_t first, size_t rows, std::vector<double>* buffer) const {
+    if (first > size() || rows > size() - first)
+      return Status::OutOfRange("rows [" + std::to_string(first) + ", " +
+                                std::to_string(first + rows) +
+                                ") out of range");
+    if (const Dataset* memory = InMemory())
+      return std::span<const double>(
+          memory->matrix().data().data() + first * dims(), rows * dims());
+    return ReadRowsAt(first, rows, buffer);
+  }
 
   /// Non-null when the source is a shard set (data/sharded_source.h);
   /// ScanExecutor::Run delegates such sources to the ShardedScanExecutor
@@ -134,6 +161,15 @@ class PointSource {
   virtual Status ScanBlocks(const ScanSpec& spec,
                             const BlockVisitor& visit) const = 0;
 
+  /// Block-read hook behind ReadRows for sources without an in-memory
+  /// view (the range is already bounds-checked). The default says the
+  /// source is not block-readable (kUnimplemented), so decorators that
+  /// intercept Scan() keep every block on their own path. An override
+  /// must decide servability from the range alone, and serve every block
+  /// of a scan geometry whose first block it serves.
+  virtual Result<std::span<const double>> ReadRowsAt(
+      size_t first, size_t rows, std::vector<double>* buffer) const;
+
   /// Implementations call this once per completed Scan.
   void RecordScan(uint64_t rows, uint64_t bytes) const {
     io_.scans.Add(1);
@@ -148,9 +184,9 @@ class PointSource {
   }
 
  private:
-  // The executor's zero-copy parallel path reads an in-memory source's
-  // data without going through Scan(); it records the logical scan here so
-  // the counters stay truthful for every path. The sharded executor
+  // The executor's parallel branch reads blocks through ReadRows, not
+  // Scan(); it records the logical scan (and the bytes its workers read)
+  // here so the counters stay truthful for every path. The sharded executor
   // likewise scans the shards directly, bypassing the shard set's own
   // glued Scan(), and records the logical whole-set scan on it here.
   friend class ScanExecutor;
@@ -203,23 +239,33 @@ class MemorySource final : public PointSource {
 /// full data never needs to fit in memory.
 ///
 /// Integrity: version-2 snapshots carry a per-block XXH64 checksum table.
-/// Scan verifies every checksum block as its bytes stream past and Fetch
-/// verifies the block containing each requested row; a mismatch yields
-/// DataLoss with the block index and byte offset. Version-1 snapshots
-/// (no checksums) are still readable, unverified.
+/// Scan verifies every checksum block as its bytes stream past; Fetch and
+/// ReadRows verify every checksum block they read. A mismatch yields
+/// DataLoss with the path, block index and byte offset. Version-1
+/// snapshots (no checksums) are still readable, unverified.
+///
+/// Block reads: ReadRows serves a range by positional read when it is
+/// checksum-aligned — both ends on a checksum-block boundary or the end
+/// of the data, which every v1 range is. Scan blocks are aligned exactly
+/// when block_rows is a multiple of the checksum block (8192 and 256 by
+/// default), so ScanExecutor reads and consumes such scans on every
+/// worker; any other geometry is declined (kUnimplemented) and scanned
+/// sequentially through Scan with the same bits.
 ///
 /// Resilience: Fetch re-issues transiently failed row reads under
-/// `retry_policy()` (stream reopened between attempts). Scan does NOT
-/// retry internally — a mid-scan failure invalidates everything already
-/// delivered to visitors, so the re-issue belongs to the caller that owns
-/// the consumer state (ScanExecutor::Run).
+/// `retry_policy()` (stream reopened between attempts). Scan and ReadRows
+/// do NOT retry internally — a mid-scan failure invalidates everything
+/// already delivered to visitors, so the re-issue belongs to the caller
+/// that owns the consumer state (ScanExecutor::Run).
 ///
-/// Prefetch: by default (on hosts with more than one hardware thread)
-/// Scan double-buffers — a producer thread reads and checksums tile i+1
-/// while the visitor consumes tile i, overlapping disk I/O with kernel
-/// compute. Block contents, delivery order, and failure semantics are
-/// identical to the inline path (a checksum block completed inside tile i
-/// is still verified before tile i is delivered); only wall time changes.
+/// Prefetch serves sequential scans only: 1-thread executor runs, the
+/// fallback geometry above, and direct Scan() callers. By default (on
+/// hosts with more than one hardware thread) such a Scan double-buffers —
+/// a producer thread reads and checksums tile i+1 while the visitor
+/// consumes tile i, overlapping disk I/O with kernel compute. Block
+/// contents, delivery order, and failure semantics are identical to the
+/// inline path (a checksum block completed inside tile i is still
+/// verified before tile i is delivered); only wall time changes.
 /// `set_prefetch(false)` restores the single-threaded read loop (also
 /// used automatically for single-tile scans). On a single-core host the
 /// producer thread cannot overlap page-cache reads with compute and the
@@ -249,6 +295,8 @@ class DiskSource final : public PointSource {
  protected:
   Status ScanBlocks(const ScanSpec& spec,
                     const BlockVisitor& visit) const override;
+  Result<std::span<const double>> ReadRowsAt(
+      size_t first, size_t rows, std::vector<double>* buffer) const override;
 
  private:
   DiskSource(std::string path, size_t rows, size_t cols, size_t data_offset,
@@ -273,6 +321,13 @@ class DiskSource final : public PointSource {
 
   // True when the host has a second hardware thread to run the producer.
   static bool DefaultPrefetch();
+
+  // Reads the checksum-aligned rows [first, first + rows) from `in` into
+  // `out` and verifies every checksum block they cover (v2). `what` names
+  // the operation in the IOError/DataLoss message. The one read-and-verify
+  // path of Fetch and ReadRowsAt.
+  Status ReadVerified(std::istream& in, size_t first, size_t rows,
+                      double* out, const std::string& what) const;
 
   // v2 only: rows per checksum block and one XXH64 digest per block
   // (empty for v1 snapshots).

@@ -47,9 +47,9 @@ class MemorySliceSource final : public PointSource {
   size_t size() const override { return rows_; }
   size_t dims() const override { return dataset_->dims(); }
   Result<Matrix> Fetch(std::span<const size_t> indices) const override;
-  // InMemory() stays null: the slice is not the whole dataset, so the
-  // executor's whole-source zero-copy path must not engage (its row
-  // indices would be global, not slice-relative).
+  // InMemory() stays null: the slice is not the whole dataset, so
+  // ReadRows must not hand out whole-source zero-copy views of it (their
+  // row indices would be global, not slice-relative).
 
  protected:
   Status ScanBlocks(const ScanSpec& spec,

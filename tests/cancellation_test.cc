@@ -113,8 +113,9 @@ class SumConsumer final : public ScanConsumer {
 // been delivered (cumulative across scans). Because every source checks
 // the context before delivering each block, the scan in flight stops
 // after exactly N blocks — the test handle for "Cancel() unwinds within
-// one block's work". InMemory() stays null so the executor's zero-copy
-// parallel path cannot bypass the per-block checks.
+// one block's work". InMemory() stays null and the block-read hook keeps
+// its default, so the executor's parallel branch cannot bypass the
+// per-block checks.
 class CancelAfterBlocksSource final : public PointSource {
  public:
   CancelAfterBlocksSource(const PointSource& inner, CancelToken* token,
@@ -143,8 +144,8 @@ class CancelAfterBlocksSource final : public PointSource {
   const PointSource* inner_;
   CancelToken* token_;
   size_t cancel_after_;
-  // Sequential scans only (InMemory() is null, so the executor never
-  // parallelizes over this source); no synchronization needed.
+  // Sequential scans only (the source is not block-readable, so the
+  // executor never parallelizes over it); no synchronization needed.
   mutable size_t delivered_ = 0;
 };
 

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "data/binary_io.h"
+#include "data/fault_source.h"
 
 namespace proclus {
 namespace {
@@ -343,7 +344,7 @@ TEST(DiskSourceTest, FetchVerifiesOnlyTheContainingBlock) {
   Status status = source->Fetch(dirty).status();
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
   ExpectMessageContains(status, "block 1");
-  ExpectMessageContains(status, "fetching point 300");
+  ExpectMessageContains(status, "fetch of point 300");
 }
 
 TEST(DiskSourceTest, V1SnapshotsReadableButUnverified) {
@@ -373,6 +374,75 @@ TEST(DiskSourceTest, V1SnapshotsReadableButUnverified) {
   Status status =
       source->Scan(16, [](size_t, std::span<const double>, size_t) {});
   EXPECT_TRUE(status.ok());
+}
+
+// ---------------------------------------------------------------------
+// Reads by position (ReadRows), the scan executor's block-read branch.
+// ---------------------------------------------------------------------
+
+TEST(ReadRowsTest, MemorySourceHandsOutZeroCopyViews) {
+  Dataset ds = RandomDataset(100, 4);
+  MemorySource source(ds);
+  auto view = source.ReadRows(10, 20, nullptr);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->data(), ds.matrix().data().data() + 10 * 4);
+  EXPECT_EQ(view->size(), 20u * 4);
+  EXPECT_EQ(source.ReadRows(90, 11, nullptr).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(ReadRowsTest, DiskSourceServesChecksumAlignedRanges) {
+  // 600 rows with 256-row checksum blocks: boundaries at 0, 256, 512, 600.
+  Dataset ds = RandomDataset(600, 4);
+  auto source = DiskSource::Open(WriteTempSnapshot(ds, "read_rows.bin"));
+  ASSERT_TRUE(source.ok());
+  std::vector<double> buffer;
+  auto view = source->ReadRows(256, 344, &buffer);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->data(), buffer.data());
+  ASSERT_EQ(view->size(), 344u * 4);
+  for (size_t r = 0; r < 344; ++r)
+    for (size_t j = 0; j < 4; ++j)
+      EXPECT_EQ((*view)[r * 4 + j], ds.at(256 + r, j));
+  // A null buffer only asks; a range that splits a checksum block is
+  // declined, since its digest could not be checked.
+  EXPECT_TRUE(source->ReadRows(0, 512, nullptr).ok());
+  EXPECT_EQ(source->ReadRows(0, 100, &buffer).status().code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(source->ReadRows(100, 156, nullptr).status().code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(source->ReadRows(512, 89, &buffer).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(ReadRowsTest, DiskSourceBlockReadDetectsCorruptionWithOffset) {
+  Dataset ds = RandomDataset(600, 4);
+  std::string path = WriteTempSnapshot(ds, "read_rows_corrupt.bin");
+  auto source = DiskSource::Open(path);
+  ASSERT_TRUE(source.ok());
+  const size_t data_offset = DataOffset(600, kDefaultChecksumBlockRows);
+  const size_t row_bytes = 4 * sizeof(double);
+  FlipByte(path, data_offset + 300 * row_bytes + 3);
+  std::vector<double> buffer;
+  EXPECT_TRUE(source->ReadRows(0, 256, &buffer).ok());
+  Status status = source->ReadRows(256, 256, &buffer).status();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  ExpectMessageContains(status, "'" + path + "'");
+  ExpectMessageContains(status, "block 1");
+  ExpectMessageContains(
+      status, "byte offset " + std::to_string(data_offset + 256 * row_bytes));
+  ExpectMessageContains(status, "block read of rows [256, 512)");
+}
+
+TEST(ReadRowsTest, ScanInterceptingDecoratorIsNotBlockReadable) {
+  // The fault injector keeps the default hook, so every block of a
+  // wrapped source still passes through its intercepting Scan().
+  Dataset ds = RandomDataset(100, 4);
+  MemorySource memory(ds);
+  FaultInjectingPointSource faulty(memory, FaultPlan{});
+  std::vector<double> buffer;
+  EXPECT_EQ(faulty.ReadRows(0, 10, &buffer).status().code(),
+            StatusCode::kUnimplemented);
 }
 
 }  // namespace

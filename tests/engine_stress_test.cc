@@ -5,6 +5,10 @@
 // sequentially in block order, so the thread schedule can never leak into
 // the results.
 //
+// Every matrix runs over an in-memory source and over a checksummed disk
+// snapshot, whose blocks the workers read concurrently (block reads +
+// checksum verification racing ConsumeBlock).
+//
 // These tests live in the `parallel`-labeled test binary so the tsan CTest
 // preset picks them up (see tests/CMakeLists.txt and CMakePresets.json).
 
@@ -12,10 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include "test_temp.h"
+
 #include <span>
+#include <string>
 
 #include "core/consumers.h"
 #include "core/proclus.h"
+#include "data/binary_io.h"
 #include "gen/synthetic.h"
 
 namespace proclus {
@@ -27,6 +35,7 @@ struct Fixture {
   SyntheticData data;
   Matrix medoids;
   std::vector<DimensionSet> dims;
+  std::string disk_path;
 };
 
 Fixture MakeFixture() {
@@ -46,8 +55,20 @@ Fixture MakeFixture() {
   fixture.dims = {
       DimensionSet(12, {0, 3, 5}), DimensionSet(12, {1, 2, 11}),
       DimensionSet(12, {4, 7, 8, 9}), DimensionSet(12, {6, 10})};
+  fixture.disk_path = TestTempPath("stress.bin");
+  EXPECT_TRUE(WriteBinaryFile(fixture.data.dataset, fixture.disk_path).ok());
   return fixture;
 }
+
+// The memory source and a disk snapshot of the same points.
+struct Sources {
+  explicit Sources(const Fixture& fixture)
+      : memory(fixture.data.dataset),
+        disk(std::move(DiskSource::Open(fixture.disk_path)).value()) {}
+  MemorySource memory;
+  DiskSource disk;
+  const PointSource* all[2] = {&memory, &disk};
+};
 
 TEST(EngineStressTest, FusedConsumersBitIdenticalAcrossThreadCounts) {
   Fixture fixture = MakeFixture();
@@ -69,27 +90,31 @@ TEST(EngineStressTest, FusedConsumersBitIdenticalAcrossThreadCounts) {
                   .ok());
   ASSERT_TRUE(sequential.Run(source, {&deviation_base}).ok());
 
-  for (size_t threads : kThreadCounts) {
-    ScanExecutor executor(ScanOptions{threads, 256, nullptr});
-    LocalityStatsConsumer locality;
-    AssignConsumer assign;
-    DeviationConsumer deviation;
-    ASSERT_TRUE(locality.Bind(&fixture.medoids).ok());
-    ASSERT_TRUE(
-        assign.Bind(&fixture.medoids, &fixture.dims, true, true).ok());
-    ASSERT_TRUE(executor.Run(source, {&locality, &assign}).ok());
-    ASSERT_TRUE(deviation
-                    .Bind(&assign.labels(), &assign.centroids(),
-                          &assign.cluster_sizes(), &fixture.dims)
-                    .ok());
-    ASSERT_TRUE(executor.Run(source, {&deviation}).ok());
+  Sources sources(fixture);
+  for (const PointSource* scanned : sources.all) {
+    SCOPED_TRACE(scanned == &sources.memory ? "memory" : "disk");
+    for (size_t threads : kThreadCounts) {
+      ScanExecutor executor(ScanOptions{threads, 256, nullptr});
+      LocalityStatsConsumer locality;
+      AssignConsumer assign;
+      DeviationConsumer deviation;
+      ASSERT_TRUE(locality.Bind(&fixture.medoids).ok());
+      ASSERT_TRUE(
+          assign.Bind(&fixture.medoids, &fixture.dims, true, true).ok());
+      ASSERT_TRUE(executor.Run(*scanned, {&locality, &assign}).ok());
+      ASSERT_TRUE(deviation
+                      .Bind(&assign.labels(), &assign.centroids(),
+                            &assign.cluster_sizes(), &fixture.dims)
+                      .ok());
+      ASSERT_TRUE(executor.Run(*scanned, {&deviation}).ok());
 
-    EXPECT_EQ(locality.stats(), locality_base.stats())
-        << threads << " threads";
-    EXPECT_EQ(assign.labels(), assign_base.labels());
-    EXPECT_EQ(assign.centroids(), assign_base.centroids());
-    EXPECT_EQ(assign.cluster_sizes(), assign_base.cluster_sizes());
-    EXPECT_EQ(deviation.objective(), deviation_base.objective());
+      EXPECT_EQ(locality.stats(), locality_base.stats())
+          << threads << " threads";
+      EXPECT_EQ(assign.labels(), assign_base.labels());
+      EXPECT_EQ(assign.centroids(), assign_base.centroids());
+      EXPECT_EQ(assign.cluster_sizes(), assign_base.cluster_sizes());
+      EXPECT_EQ(deviation.objective(), deviation_base.objective());
+    }
   }
 }
 
@@ -110,15 +135,19 @@ TEST(EngineStressTest, MultiVariantLocalityBitIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(base.Bind(&union_coords, variants).ok());
   ASSERT_TRUE(sequential.Run(source, {&base}).ok());
 
-  for (size_t threads : kThreadCounts) {
-    ScanExecutor executor(ScanOptions{threads, 512, nullptr});
-    LocalityStatsConsumer consumer;
-    ASSERT_TRUE(consumer.Bind(&union_coords, variants).ok());
-    ASSERT_TRUE(executor.Run(source, {&consumer}).ok());
-    ASSERT_EQ(consumer.num_variants(), 2u);
-    for (size_t v = 0; v < 2; ++v)
-      EXPECT_EQ(consumer.stats(v), base.stats(v))
-          << threads << " threads, variant " << v;
+  Sources sources(fixture);
+  for (const PointSource* scanned : sources.all) {
+    SCOPED_TRACE(scanned == &sources.memory ? "memory" : "disk");
+    for (size_t threads : kThreadCounts) {
+      ScanExecutor executor(ScanOptions{threads, 512, nullptr});
+      LocalityStatsConsumer consumer;
+      ASSERT_TRUE(consumer.Bind(&union_coords, variants).ok());
+      ASSERT_TRUE(executor.Run(*scanned, {&consumer}).ok());
+      ASSERT_EQ(consumer.num_variants(), 2u);
+      for (size_t v = 0; v < 2; ++v)
+        EXPECT_EQ(consumer.stats(v), base.stats(v))
+            << threads << " threads, variant " << v;
+    }
   }
 }
 
@@ -147,20 +176,24 @@ TEST(EngineStressTest, CachedLocalityBitIdenticalAcrossThreadCounts) {
   }
   ASSERT_GT(base_cache.hits, 0u);
 
-  for (size_t threads : kThreadCounts) {
-    MedoidDistanceCache cache;
-    ScanExecutor executor(ScanOptions{threads, 512, nullptr});
-    LocalityStatsConsumer consumer;
-    for (int scan = 0; scan < 2; ++scan) {
-      ASSERT_TRUE(consumer.Bind(&union_coords, variants,
-                                std::span<const size_t>(slots), &cache)
-                      .ok());
-      ASSERT_TRUE(executor.Run(source, {&consumer}).ok());
+  Sources sources(fixture);
+  for (const PointSource* scanned : sources.all) {
+    SCOPED_TRACE(scanned == &sources.memory ? "memory" : "disk");
+    for (size_t threads : kThreadCounts) {
+      MedoidDistanceCache cache;
+      ScanExecutor executor(ScanOptions{threads, 512, nullptr});
+      LocalityStatsConsumer consumer;
+      for (int scan = 0; scan < 2; ++scan) {
+        ASSERT_TRUE(consumer.Bind(&union_coords, variants,
+                                  std::span<const size_t>(slots), &cache)
+                        .ok());
+        ASSERT_TRUE(executor.Run(*scanned, {&consumer}).ok());
+      }
+      EXPECT_EQ(cache.hits, base_cache.hits) << threads << " threads";
+      for (size_t v = 0; v < 2; ++v)
+        EXPECT_EQ(consumer.stats(v), base.stats(v))
+            << threads << " threads, variant " << v;
     }
-    EXPECT_EQ(cache.hits, base_cache.hits) << threads << " threads";
-    for (size_t v = 0; v < 2; ++v)
-      EXPECT_EQ(consumer.stats(v), base.stats(v))
-          << threads << " threads, variant " << v;
   }
 }
 
@@ -177,15 +210,19 @@ TEST(EngineStressTest, FusedProclusBitIdenticalAcrossThreadCounts) {
 
   auto base = RunProclus(fixture.data.dataset, params);
   ASSERT_TRUE(base.ok());
-  for (size_t threads : kThreadCounts) {
-    ProclusParams threaded = params;
-    threaded.num_threads = threads;
-    auto result = RunProclus(fixture.data.dataset, threaded);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->labels, base->labels) << threads << " threads";
-    EXPECT_EQ(result->medoids, base->medoids);
-    EXPECT_EQ(result->objective, base->objective);
-    EXPECT_EQ(result->iterations, base->iterations);
+  Sources sources(fixture);
+  for (const PointSource* scanned : sources.all) {
+    SCOPED_TRACE(scanned == &sources.memory ? "memory" : "disk");
+    for (size_t threads : kThreadCounts) {
+      ProclusParams threaded = params;
+      threaded.num_threads = threads;
+      auto result = RunProclusOnSource(*scanned, threaded);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->labels, base->labels) << threads << " threads";
+      EXPECT_EQ(result->medoids, base->medoids);
+      EXPECT_EQ(result->objective, base->objective);
+      EXPECT_EQ(result->iterations, base->iterations);
+    }
   }
 }
 
