@@ -179,9 +179,9 @@ void PrintRunStats(const std::string& prefix, const RunStats& stats) {
           static_cast<double>(stats.kernel_rows));
   PrintKV(prefix + " tile reuse hits",
           static_cast<double>(stats.tile_reuse_hits));
-  PrintKV(prefix + " locality cache hits",
+  PrintKV(prefix + " locality memo hits",
           static_cast<double>(stats.locality_cache_hits));
-  PrintKV(prefix + " locality cache misses",
+  PrintKV(prefix + " locality memo misses",
           static_cast<double>(stats.locality_cache_misses));
   PrintKV(prefix + " bootstrap scans",
           static_cast<double>(stats.bootstrap_scans));

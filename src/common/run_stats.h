@@ -41,11 +41,12 @@ struct RunStats {
   /// Batch-kernel invocations that reused a cached column tile instead of
   /// re-gathering it from the row-major block.
   uint64_t tile_reuse_hits = 0;
-  /// Locality-scan medoid distance columns served from the cross-scan
-  /// cache (fused engine only). Each hit skips one full n-row distance
-  /// computation.
+  /// Locality jobs — one per distinct (medoid slot, delta) of a locality
+  /// scan — answered from the run's locality memo (fused engine only).
+  /// Each hit skips both the job's distances and its accumulation.
   uint64_t locality_cache_hits = 0;
-  /// Locality-scan medoid distance columns that had to be computed.
+  /// Locality jobs a scan had to accumulate and then committed to the
+  /// memo: the number of distinct (slot, delta) keys the climb requested.
   uint64_t locality_cache_misses = 0;
   /// (row, reference) pairs examined by a sketch / prefix screen
   /// (src/sketch/): candidates a lower bound was computed for.

@@ -1,6 +1,7 @@
 #include "core/consumers.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/check.h"
@@ -65,24 +66,39 @@ Status LocalityStatsConsumer::Bind(
         return Status::InvalidArgument("variant row out of range");
   }
   medoids_ = medoids;
-  variant_rows_ = std::move(variant_rows);
-  cache_ = nullptr;
+  memo_ = nullptr;
   slots_.clear();
 
   // delta_i = full-space segmental distance from variant medoid i to its
-  // nearest other medoid of the same variant (infinity when k == 1).
-  deltas_.resize(variant_rows_.size());
-  for (size_t v = 0; v < variant_rows_.size(); ++v) {
-    const std::vector<size_t>& map = variant_rows_[v];
+  // nearest other medoid of the same variant (infinity when k == 1). Each
+  // (row, delta) pair becomes one job, shared by every variant that
+  // names it.
+  jobs_.clear();
+  variant_jobs_.resize(variant_rows.size());
+  std::vector<double> deltas;
+  for (size_t v = 0; v < variant_rows.size(); ++v) {
+    const std::vector<size_t>& map = variant_rows[v];
     const size_t k = map.size();
-    deltas_[v].assign(k, std::numeric_limits<double>::infinity());
+    deltas.assign(k, std::numeric_limits<double>::infinity());
     for (size_t i = 0; i < k; ++i) {
       for (size_t j = i + 1; j < k; ++j) {
         double dist =
             FullSegmental(medoids_->row(map[i]), medoids_->row(map[j]));
-        if (dist < deltas_[v][i]) deltas_[v][i] = dist;
-        if (dist < deltas_[v][j]) deltas_[v][j] = dist;
+        if (dist < deltas[i]) deltas[i] = dist;
+        if (dist < deltas[j]) deltas[j] = dist;
       }
+    }
+    variant_jobs_[v].resize(k);
+    for (size_t i = 0; i < k; ++i) {
+      const Job job{map[i], deltas[i]};
+      size_t at = 0;
+      while (at < jobs_.size() &&
+             (jobs_[at].row != job.row ||
+              std::bit_cast<uint64_t>(jobs_[at].delta) !=
+                  std::bit_cast<uint64_t>(job.delta)))
+        ++at;
+      if (at == jobs_.size()) jobs_.push_back(job);
+      variant_jobs_[v][i] = at;
     }
   }
   return Status::OK();
@@ -98,16 +114,16 @@ Status LocalityStatsConsumer::Bind(const Matrix* medoids) {
 
 Status LocalityStatsConsumer::Bind(
     const Matrix* medoids, std::vector<std::vector<size_t>> variant_rows,
-    std::span<const size_t> slots, MedoidDistanceCache* cache) {
+    std::span<const size_t> slots, LocalityMemo* memo) {
   PROCLUS_RETURN_IF_ERROR(Bind(medoids, std::move(variant_rows)));
-  if (cache == nullptr) return Status::OK();
+  if (memo == nullptr) return Status::OK();
   if (slots.size() != medoids_->rows())
     return Status::InvalidArgument("one slot id per medoid row required");
   for (size_t i = 0; i < slots.size(); ++i)
     for (size_t j = i + 1; j < slots.size(); ++j)
       if (slots[i] == slots[j])
-        return Status::InvalidArgument("duplicate slot in cached bind");
-  cache_ = cache;
+        return Status::InvalidArgument("duplicate slot in memoized bind");
+  memo_ = memo;
   slots_.assign(slots.begin(), slots.end());
   return Status::OK();
 }
@@ -116,251 +132,117 @@ Status LocalityStatsConsumer::Prepare(const ScanGeometry& geometry) {
   if (medoids_ == nullptr) return Status::InvalidArgument("Bind not called");
   if (medoids_->cols() != geometry.dims)
     return Status::InvalidArgument("medoid dimensionality mismatch");
-  dims_ = geometry.dims;
-  rows_ = geometry.rows;
-  const size_t u = medoids_->rows();
-  partials_.resize(variant_rows_.size());
-  for (std::vector<BlockSums>& blocks : partials_)
-    blocks.resize(geometry.num_blocks);
-  PrepareKernelScratch(scratch_, geometry.num_blocks);
-  cols_.resize(geometry.num_blocks);
-  exact_cols_.resize(geometry.num_blocks);
-  stats_.resize(variant_rows_.size());
+  const size_t d = geometry.dims;
+  dims_ = d;
+  if (memo_ != nullptr && memo_->geometry != geometry) {
+    memo_->entries.clear();
+    memo_->geometry = geometry;
+  }
 
-  // Sketch screen setup: project the union medoids once per scan and
-  // derive each union row's pruning threshold — the largest locality
-  // delta any variant compares that row's column against. A column value
-  // whose lower bound exceeds the threshold decides every comparison
-  // identically without the exact distance.
-  screening_ = sketch_ != nullptr && sketch_->ScreenProfitable(geometry.dims);
+  // Memo hits are answered here, on the driving thread; every other job
+  // is fresh and needs a distance column for its medoid row.
+  results_.resize(jobs_.size() * d);
+  fresh_.clear();
+  fresh_rows_.clear();
+  thresholds_.clear();
+  for (size_t j = 0; j < jobs_.size(); ++j) {
+    const Job& job = jobs_[j];
+    if (memo_ != nullptr) {
+      auto hit = memo_->entries.find(
+          {slots_[job.row], std::bit_cast<uint64_t>(job.delta)});
+      if (hit != memo_->entries.end()) {
+        std::copy(hit->second.row.begin(), hit->second.row.end(),
+                  results_.data() + j * d);
+        continue;
+      }
+    }
+    size_t f = 0;
+    while (f < fresh_rows_.size() && fresh_rows_[f] != job.row) ++f;
+    if (f == fresh_rows_.size()) {
+      fresh_rows_.push_back(job.row);
+      thresholds_.push_back(job.delta);
+    }
+    // A fresh row's screening threshold is the largest delta any of its
+    // jobs compares the row's distances against.
+    thresholds_[f] = std::max(thresholds_[f], job.delta);
+    fresh_.push_back({j, f, job.delta});
+  }
+  const size_t u = fresh_rows_.size();
+  ResetMatrix(&fresh_medoids_, u, d);
+  for (size_t f = 0; f < u; ++f) {
+    auto src = medoids_->row(fresh_rows_[f]);
+    std::copy(src.begin(), src.end(), fresh_medoids_.row(f).begin());
+  }
+
+  // Sketch screen setup: project the fresh rows once per scan. A distance
+  // whose lower bound exceeds its row's threshold decides every job's
+  // comparison identically without the exact value.
+  screening_ = sketch_ != nullptr && sketch_->ScreenProfitable(d);
   if (screening_) {
     const size_t width = sketch_->width;
-    union_sketches_.resize(u * width);
-    union_masses_.resize(u);
-    for (size_t m = 0; m < u; ++m)
-      union_masses_[m] = sketch_->ProjectPoint(
-          medoids_->row(m), union_sketches_.data() + m * width);
-    thresholds_.assign(u, -std::numeric_limits<double>::infinity());
-    for (size_t v = 0; v < variant_rows_.size(); ++v) {
-      const std::vector<size_t>& map = variant_rows_[v];
-      for (size_t i = 0; i < map.size(); ++i)
-        thresholds_[map[i]] = std::max(thresholds_[map[i]], deltas_[v][i]);
-    }
+    sketches_.resize(u * width);
+    masses_.resize(u);
+    for (size_t f = 0; f < u; ++f)
+      masses_[f] = sketch_->ProjectPoint(fresh_medoids_.row(f),
+                                         sketches_.data() + f * width);
   }
 
-  fresh_rows_.clear();
-  fresh_entries_.clear();
-  if (cache_ != nullptr) {
-    // One clock tick per scan attempt. Entries touched during this
-    // attempt carry the current tick and are protected from eviction;
-    // validity is only committed by Merge, so an attempt that fails and
-    // retries simply reclaims its entries and refills them.
-    ++cache_->clock;
-    // Reserve before taking any pointers: push_back must never relocate
-    // entries mid-Prepare, and the eviction cap must always leave an
-    // unprotected entry to reuse.
-    const size_t capacity = std::max<size_t>(16, 2 * u + 4);
-    cache_->entries.reserve(
-        std::max(capacity, cache_->entries.size() + u));
-    col_base_.assign(u, nullptr);
-    exact_base_.assign(u, nullptr);
-    for (size_t m = 0; m < u; ++m) {
-      const size_t slot = slots_[m];
-      MedoidDistanceCache::Entry* entry = nullptr;
-      for (MedoidDistanceCache::Entry& e : cache_->entries)
-        if (e.slot == slot) {
-          entry = &e;
-          break;
-        }
-      const bool hit = entry != nullptr && entry->valid &&
-                       entry->dist.size() == geometry.rows;
-      if (hit) {
-        ++cache_->hits;
-      } else {
-        ++cache_->misses;
-        if (entry == nullptr) {
-          if (cache_->entries.size() < capacity) {
-            entry = &cache_->entries.emplace_back();
-          } else {
-            // Evict the least-recently-used entry not touched this scan.
-            for (MedoidDistanceCache::Entry& e : cache_->entries)
-              if (e.last_used != cache_->clock &&
-                  (entry == nullptr || e.last_used < entry->last_used))
-                entry = &e;
-            // invariant: capacity >= 2u + 4 and at most u entries carry
-            // the current tick, so an evictable entry always exists.
-            PROCLUS_CHECK(entry != nullptr);
-          }
-        }
-        entry->slot = slot;
-        entry->valid = false;
-        entry->dist.resize(geometry.rows);
-        // A screened fill stores exact flags alongside the column; an
-        // unscreened fill restores the all-exact layout (empty vector).
-        if (screening_) {
-          entry->exact.resize(geometry.rows);
-        } else {
-          entry->exact.clear();
-        }
-        fresh_rows_.push_back(m);
-        fresh_entries_.push_back(
-            static_cast<size_t>(entry - cache_->entries.data()));
-      }
-      entry->last_used = cache_->clock;
-      col_base_[m] = entry->dist.data();
-      exact_base_[m] = entry->exact.empty() ? nullptr : entry->exact.data();
-    }
-    ResetMatrix(&fresh_medoids_, fresh_rows_.size(), geometry.dims);
-    for (size_t f = 0; f < fresh_rows_.size(); ++f) {
-      auto src = medoids_->row(fresh_rows_[f]);
-      for (size_t j = 0; j < geometry.dims; ++j) fresh_medoids_(f, j) = src[j];
-    }
-    if (screening_) {
-      const size_t width = sketch_->width;
-      fresh_sketches_.resize(fresh_rows_.size() * width);
-      fresh_masses_.resize(fresh_rows_.size());
-      fresh_thresholds_.resize(fresh_rows_.size());
-      for (size_t f = 0; f < fresh_rows_.size(); ++f) {
-        const size_t m = fresh_rows_[f];
-        std::copy(union_sketches_.begin() + m * width,
-                  union_sketches_.begin() + (m + 1) * width,
-                  fresh_sketches_.begin() + f * width);
-        fresh_masses_[f] = union_masses_[m];
-        fresh_thresholds_[f] = thresholds_[m];
-      }
-    }
-  }
-
+  partials_.resize(geometry.num_blocks);
+  PrepareKernelScratch(scratch_, geometry.num_blocks);
+  stats_.resize(variant_jobs_.size());
   uint64_t pair_evals = 0;
-  for (const std::vector<size_t>& map : variant_rows_)
+  for (const std::vector<size_t>& map : variant_jobs_)
     pair_evals += static_cast<uint64_t>(map.size()) * (map.size() - 1) / 2;
-  const uint64_t scored = cache_ != nullptr ? fresh_rows_.size() : u;
-  distance_evals_ =
-      static_cast<uint64_t>(geometry.rows) * scored + pair_evals;
+  distance_evals_ = static_cast<uint64_t>(geometry.rows) * u + pair_evals;
   return Status::OK();
 }
 
-void LocalityStatsConsumer::ConsumeBlock(size_t block_index, size_t first_row,
+void LocalityStatsConsumer::ConsumeBlock(size_t block_index,
+                                         size_t /*first_row*/,
                                          std::span<const double> data,
                                          size_t rows) {
   const size_t d = dims_;
-  const size_t u = medoids_->rows();
-  const size_t num_variants = variant_rows_.size();
-  for (size_t v = 0; v < num_variants; ++v) {
-    BlockSums& partial = partials_[v][block_index];
-    partial.sums.assign(variant_rows_[v].size() * d, 0.0);
-    partial.count.assign(variant_rows_[v].size(), 0);
-  }
-  // Distances to the union of all variants' medoids are computed once per
-  // point and shared: one many-reference kernel scores all u medoids
-  // against each gathered sub-tile. Dividing the Manhattan sum by d
-  // afterwards is exactly FullSegmental's operation order, so dist stays
+  const size_t fresh = fresh_.size();
+  BlockSums& partial = partials_[block_index];
+  partial.sums.assign(fresh * d, 0.0);
+  partial.count.assign(fresh, 0);
+  if (fresh == 0) return;
+  // Distances to the fresh medoid rows are computed once per point and
+  // shared by every job on that row: one many-reference kernel scores all
+  // of them against each gathered sub-tile. Dividing the Manhattan sum by
+  // d afterwards is exactly FullSegmental's operation order, so dist stays
   // bit-identical to the per-point scalar loop.
-  //
-  // With a cache bound, only medoids whose column missed in Prepare are
-  // scored: the kernel scatters each fresh column straight into its cache
-  // entry at this block's row range (distinct blocks write disjoint
-  // ranges, so concurrent fills are safe), and hit columns are reused
-  // verbatim — bit-identical by construction.
+  const size_t u = fresh_medoids_.rows();
   KernelScratch& scratch = scratch_[block_index];
-  std::vector<const double*>& cols = cols_[block_index];
-  cols.resize(u);
+  scratch.dist.resize(u * rows);
+  double* dist = scratch.dist.data();
   const double denom = static_cast<double>(d);
-  if (cache_ == nullptr) {
-    scratch.dist.resize(u * rows);
-    double* dist = scratch.dist.data();
-    if (screening_) {
-      // Screened fill: the kernel normalizes internally and stores a
-      // guaranteed lower bound for pruned rows. No exact flags are kept
-      // — a pruned value exceeds every threshold this scan compares it
-      // against, so the decision loop below reads it unchanged.
-      const SketchSpec spec = sketch_->Spec();
-      SketchProjectBlock(data, rows, d, spec, scratch);
-      scratch.outs.resize(u);
-      for (size_t m = 0; m < u; ++m) scratch.outs[m] = dist + m * rows;
-      ManhattanManyScreenedBatch(
-          data, rows, d, *medoids_, union_sketches_.data(),
-          union_masses_.data(), spec, thresholds_, denom, scratch,
-          std::span<double* const>(scratch.outs), /*exacts=*/{});
-      for (size_t m = 0; m < u; ++m) cols[m] = dist + m * rows;
-    } else {
-      ManhattanManyBatch(data, rows, d, *medoids_, scratch, dist);
-      for (size_t m = 0; m < u; ++m) {
-        double* row = dist + m * rows;
-        for (size_t r = 0; r < rows; ++r) row[r] /= denom;
-        cols[m] = row;
-      }
-    }
+  if (screening_) {
+    // Screened fill: the kernel normalizes internally and stores a
+    // guaranteed lower bound for pruned rows — a value that exceeds every
+    // delta this scan compares it against, so the loop below reads it
+    // unchanged.
+    const SketchSpec spec = sketch_->Spec();
+    SketchProjectBlock(data, rows, d, spec, scratch);
+    ManhattanManyScreenedBatch(data, rows, d, fresh_medoids_,
+                               sketches_.data(), masses_.data(), spec,
+                               thresholds_, denom, scratch, dist);
   } else {
-    // Ownership contract (consumers.h): this block may write only the
-    // row range it owns inside each fresh cache column.
-    PROCLUS_DCHECK(first_row + rows <= rows_);
-    const size_t fresh = fresh_rows_.size();
-    if (fresh > 0) {
-      scratch.outs.resize(fresh);
-      for (size_t f = 0; f < fresh; ++f)
-        scratch.outs[f] = col_base_[fresh_rows_[f]] + first_row;
-      if (screening_) {
-        // Screened cache fill: pruned rows persist their lower bound
-        // with exact flag 0, so a later scan (whose thresholds differ)
-        // can still decide or locally recompute them (write-free reuse).
-        const SketchSpec spec = sketch_->Spec();
-        SketchProjectBlock(data, rows, d, spec, scratch);
-        scratch.exact_outs.resize(fresh);
-        for (size_t f = 0; f < fresh; ++f)
-          scratch.exact_outs[f] = exact_base_[fresh_rows_[f]] + first_row;
-        ManhattanManyScreenedBatch(
-            data, rows, d, fresh_medoids_, fresh_sketches_.data(),
-            fresh_masses_.data(), spec, fresh_thresholds_, denom, scratch,
-            std::span<double* const>(scratch.outs),
-            std::span<uint8_t* const>(scratch.exact_outs));
-      } else {
-        ManhattanManyBatch(data, rows, d, fresh_medoids_, scratch,
-                           std::span<double* const>(scratch.outs));
-        for (size_t f = 0; f < fresh; ++f) {
-          double* col = scratch.outs[f];
-          for (size_t r = 0; r < rows; ++r) col[r] /= denom;
-        }
-      }
-    }
-    for (size_t m = 0; m < u; ++m) cols[m] = col_base_[m] + first_row;
-    std::vector<const uint8_t*>& excols = exact_cols_[block_index];
-    excols.resize(u);
-    for (size_t m = 0; m < u; ++m)
-      excols[m] = exact_base_[m] == nullptr ? nullptr
-                                            : exact_base_[m] + first_row;
+    ManhattanManyBatch(data, rows, d, fresh_medoids_, scratch, dist);
+    for (size_t i = 0; i < u * rows; ++i) dist[i] /= denom;
   }
-  const std::vector<const uint8_t*>* excols =
-      cache_ == nullptr ? nullptr : &exact_cols_[block_index];
   for (size_t r = 0; r < rows; ++r) {
     std::span<const double> point = data.subspan(r * d, d);
-    for (size_t v = 0; v < num_variants; ++v) {
-      const std::vector<size_t>& map = variant_rows_[v];
-      BlockSums& partial = partials_[v][block_index];
-      for (size_t i = 0; i < map.size(); ++i) {
-        const size_t m = map[i];
-        double dist = cols[m][r];
-        if (excols != nullptr && (*excols)[m] != nullptr &&
-            (*excols)[m][r] == 0) {
-          // Cached lower bound from a screened fill. If it already
-          // exceeds this variant's delta the exact distance would too;
-          // otherwise recompute the distance locally (same operation
-          // order as the batch fill, so the decision is bit-identical
-          // to an unscreened run). The recomputed value is NOT stored
-          // back — reuse is write-free under re-delivery and hedging.
-          if (dist > deltas_[v][i]) continue;
-          dist = FullSegmental(point, medoids_->row(m));
-        }
-        if (dist <= deltas_[v][i]) {
-          auto medoid = medoids_->row(m);
-          double* sums = partial.sums.data() + i * d;
-          for (size_t j = 0; j < d; ++j) {
-            double diff = point[j] - medoid[j];
-            sums[j] += diff < 0 ? -diff : diff;
-          }
-          ++partial.count[i];
-        }
+    for (size_t q = 0; q < fresh; ++q) {
+      const FreshJob& job = fresh_[q];
+      if (dist[job.row * rows + r] > job.delta) continue;
+      auto medoid = fresh_medoids_.row(job.row);
+      double* sums = partial.sums.data() + q * d;
+      for (size_t j = 0; j < d; ++j) {
+        double diff = point[j] - medoid[j];
+        sums[j] += diff < 0 ? -diff : diff;
       }
+      ++partial.count[q];
     }
   }
 }
@@ -371,32 +253,46 @@ ScanConsumer::KernelStats LocalityStatsConsumer::kernel_stats() const {
 
 Status LocalityStatsConsumer::Merge() {
   const size_t d = dims_;
-  for (size_t v = 0; v < variant_rows_.size(); ++v) {
-    const size_t k = variant_rows_[v].size();
-    ResetMatrix(&stats_[v], k, d);
-    Matrix& X = stats_[v];
-    std::vector<size_t> count(k, 0);
-    for (const BlockSums& partial : partials_[v]) {
+  for (size_t q = 0; q < fresh_.size(); ++q) {
+    double* x = results_.data() + fresh_[q].job * d;
+    std::fill(x, x + d, 0.0);
+    size_t count = 0;
+    for (const BlockSums& partial : partials_) {
       if (partial.sums.empty()) continue;
-      for (size_t i = 0; i < k; ++i) {
-        for (size_t j = 0; j < d; ++j) X(i, j) += partial.sums[i * d + j];
-        count[i] += partial.count[i];
-      }
+      for (size_t j = 0; j < d; ++j) x[j] += partial.sums[q * d + j];
+      count += partial.count[q];
     }
-    for (size_t i = 0; i < k; ++i) {
-      // Every medoid is a data point, so its own locality is non-empty as
-      // long as the medoid coordinates came from this source.
-      if (count[i] == 0) continue;
-      for (size_t j = 0; j < d; ++j)
-        X(i, j) /= static_cast<double>(count[i]);
+    // Every medoid is a data point, so its own locality is non-empty as
+    // long as the medoid coordinates came from this source.
+    if (count != 0)
+      for (size_t j = 0; j < d; ++j) x[j] /= static_cast<double>(count);
+    // Commit only here: Merge runs after every block of a successful
+    // scan, so an attempt that fails or is abandoned commits nothing.
+    if (memo_ != nullptr) {
+      const Job& job = jobs_[fresh_[q].job];
+      const bool inserted =
+          memo_->entries
+              .try_emplace({slots_[job.row], std::bit_cast<uint64_t>(job.delta)},
+                           LocalityMemo::Entry{std::vector<double>(x, x + d),
+                                               count})
+              .second;
+      // invariant: Prepare answered every key already in the memo, so a
+      // locality is accumulated at most once per memo.
+      PROCLUS_CHECK(inserted);
     }
   }
-  // Cache columns become reusable only once the whole scan succeeded:
-  // Merge runs after every block, so each fresh column is fully written.
-  // A failed attempt never reaches this point, leaves valid == false, and
-  // the retry recomputes the column from scratch.
-  if (cache_ != nullptr)
-    for (size_t e : fresh_entries_) cache_->entries[e].valid = true;
+  if (memo_ != nullptr) {
+    memo_->hits += jobs_.size() - fresh_.size();
+    memo_->misses += fresh_.size();
+  }
+  for (size_t v = 0; v < variant_jobs_.size(); ++v) {
+    const std::vector<size_t>& map = variant_jobs_[v];
+    ResetMatrix(&stats_[v], map.size(), d);
+    for (size_t i = 0; i < map.size(); ++i) {
+      const double* x = results_.data() + map[i] * d;
+      std::copy(x, x + d, stats_[v].row(i).begin());
+    }
+  }
   return Status::OK();
 }
 

@@ -32,7 +32,9 @@
 #define PROCLUS_CORE_CONSUMERS_H_
 
 #include <cstdint>
+#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/dimension_set.h"
@@ -50,50 +52,34 @@ struct BlockSums {
   std::vector<size_t> count;  // k
 };
 
-/// Cross-scan cache of per-point distance columns, keyed by candidate
-/// slot id. Hill-climbing replaces only the bad medoids between
-/// iterations, so most of a speculative set's medoids already had their
-/// full-space segmental distances to every point computed by an earlier
-/// locality scan; a cached column makes those medoids free in the next
-/// scan. Values are reused verbatim (never recomputed differently), so a
-/// cached run is bit-identical to an uncached one. Owned by the caller
-/// (the fused climb's scratch) and valid only while the candidate
-/// coordinates and the source it was filled from stay fixed.
+/// Run-long memo of finished locality statistics, keyed by (candidate
+/// slot, bit pattern of delta). A locality — the points within delta of
+/// medoid m — depends only on m's coordinates, delta, the source and the
+/// scan's block geometry, so its statistics row is the same whichever
+/// medoid set asks for it. Hill climbing replaces only the bad medoids
+/// between iterations, so most (slot, delta) pairs of a locality scan were
+/// already accumulated by an earlier scan of the same run; a memo hit
+/// costs neither distances nor accumulation. Entries are reused verbatim,
+/// so a memoized run is bit-identical to an unmemoized one. Owned by the
+/// caller (the fused climb's scratch) and valid only while the candidate
+/// coordinates and the source stay fixed; it is never checkpointed, so a
+/// resumed run starts it empty and recomputes the same bits.
 ///
-/// Scatter-fill/commit protocol (lock-free by ownership partitioning;
-/// DESIGN.md §10): the structure itself — entries, clock, hits, misses,
-/// and each entry's slot/valid/last_used — is touched ONLY by the thread
-/// driving the scan, inside Prepare (slot lookup, eviction, column
-/// (re)allocation) and Merge (validity commit), which the executor runs
-/// strictly before and after the parallel region. During the region,
-/// workers write only the *contents* of fresh entries' dist columns, each
-/// block scattering into its own disjoint row range [first_row,
-/// first_row + rows); hit columns are read-only. Validity commits on
-/// Merge and nowhere else, so a scan attempt that fails or is abandoned
-/// leaves its claimed entries invalid and the retry refills them —
-/// fault-retry and resume keep bit-identical results.
-struct MedoidDistanceCache {
+/// Ownership (DESIGN.md §10): the memo is touched only by the thread
+/// driving the scan — looked up in Prepare, committed in Merge. Workers
+/// never see it. A scan attempt that fails or is abandoned never reaches
+/// Merge and commits nothing.
+struct LocalityMemo {
   struct Entry {
-    size_t slot = 0;
-    /// Committed by a successful scan's Merge; entries claimed by a scan
-    /// that failed or was abandoned simply stay invalid and are refilled.
-    bool valid = false;
-    uint64_t last_used = 0;
-    std::vector<double> dist;  ///< One distance per source row.
-    /// Sketch-screened fills (DESIGN.md §14): exact[r] == 1 marks dist[r]
-    /// as the exact segmental distance; 0 marks it as a guaranteed lower
-    /// bound (the screen pruned the exact evaluation because the bound
-    /// already exceeded every locality threshold of the filling scan). An
-    /// EMPTY vector means the whole column is exact (unscreened fill) —
-    /// the pre-sketch layout, still produced when screening is off.
-    /// Written only at fill time under the same ownership protocol as
-    /// `dist`; reusing scans never write it (write-free reuse).
-    std::vector<uint8_t> exact;
+    std::vector<double> row;  ///< d averages: the locality's X(i, .) row.
+    size_t count = 0;         ///< Points in the locality.
   };
-  std::vector<Entry> entries;  ///< Small; linear lookup by slot.
-  uint64_t clock = 0;          ///< Bumped per scan; drives LRU eviction.
-  uint64_t hits = 0;
-  uint64_t misses = 0;
+  std::map<std::pair<size_t, uint64_t>, Entry> entries;
+  /// Geometry the entries were accumulated under; a scan with another
+  /// geometry (block order changes the sums) drops them first.
+  ScanGeometry geometry;
+  uint64_t hits = 0;    ///< Jobs answered from `entries`.
+  uint64_t misses = 0;  ///< Jobs accumulated by a scan and committed.
 };
 
 /// Locality statistics (iterative phase): X(i, j) = average |p_j - m_ij|
@@ -102,12 +88,13 @@ struct MedoidDistanceCache {
 /// medoid.
 ///
 /// Supports VARIANTS: several candidate medoid sets evaluated in the same
-/// scan, sharing the per-point distance computations to the union of
-/// their medoids. Each variant's statistics are accumulated and merged
-/// independently, so they are bit-identical to running a separate scan
-/// per variant. This is what lets the fused hill-climb compute the
-/// locality statistics of both speculative next medoid sets inside the
-/// evaluation scan.
+/// scan. Bind reduces every (variant, medoid) pair to a JOB keyed by
+/// (union row, delta); pairs with equal keys share one job, since their
+/// localities are the same point set. Each job is accumulated in
+/// per-block partials and merged in block order, so every variant's
+/// statistics are bit-identical to a separate scan per variant. This is
+/// what lets the fused hill-climb compute the locality statistics of both
+/// speculative next medoid sets inside the evaluation scan.
 class LocalityStatsConsumer final : public ScanConsumer {
  public:
   /// Binds the union medoid coordinate matrix (u x d) and one row-index
@@ -119,22 +106,21 @@ class LocalityStatsConsumer final : public ScanConsumer {
   /// Single-variant convenience: the variant is all rows of `medoids`.
   Status Bind(const Matrix* medoids);
 
-  /// Cached binding: `slots` names the candidate slot behind each medoid
-  /// row (distinct, same length as `medoids` rows) and `cache` persists
-  /// across scans. Distance columns for slots the cache already holds are
-  /// reused; freshly computed columns are committed back on Merge.
-  /// `slots` and `cache` must outlive the scan.
+  /// Memoized binding: `slots` names the candidate slot behind each
+  /// medoid row (distinct, same length as `medoids` rows) and `memo`
+  /// persists across scans. Jobs the memo already holds are answered
+  /// from it; the others are accumulated by the scan and committed to it
+  /// on Merge. `memo` must outlive the scan.
   Status Bind(const Matrix* medoids,
               std::vector<std::vector<size_t>> variant_rows,
-              std::span<const size_t> slots, MedoidDistanceCache* cache);
+              std::span<const size_t> slots, LocalityMemo* memo);
 
-  /// Enables sketch screening of the per-medoid distance columns (null
-  /// disables it — the ablation default). The plan must outlive the scan;
+  /// Enables sketch screening of the fresh jobs' distance columns (null
+  /// disables it — the default). The plan must outlive the scan;
   /// screening activates only when plan->ScreenProfitable(dims). The
-  /// statistics are bit-identical either way: a column value is only ever
-  /// compared against the locality thresholds, and a stored lower bound
-  /// replaces the exact distance only when both sides of that comparison
-  /// provably agree.
+  /// statistics are bit-identical either way: a distance is only compared
+  /// against its jobs' deltas, and a pruned row's lower bound already
+  /// exceeds the largest of them.
   void SetSketch(const SketchPlan* sketch) { sketch_ = sketch; }
 
   Status Prepare(const ScanGeometry& geometry) override;
@@ -147,39 +133,43 @@ class LocalityStatsConsumer final : public ScanConsumer {
   uint64_t distance_evals() const override { return distance_evals_; }
   KernelStats kernel_stats() const override;
 
-  size_t num_variants() const { return variant_rows_.size(); }
+  size_t num_variants() const { return variant_jobs_.size(); }
   /// Statistics matrix (k_v x d) of variant `v`, valid after Merge.
   const Matrix& stats(size_t v = 0) const { return stats_[v]; }
   Matrix TakeStats(size_t v = 0) { return std::move(stats_[v]); }
 
  private:
+  struct Job {
+    size_t row = 0;      // union medoid row
+    double delta = 0.0;  // locality radius
+  };
+  struct FreshJob {
+    size_t job = 0;      // index into jobs_
+    size_t row = 0;      // fresh medoid row (and distance column)
+    double delta = 0.0;  // jobs_[job].delta, kept hot for ConsumeBlock
+  };
+
   const Matrix* medoids_ = nullptr;
-  std::vector<std::vector<size_t>> variant_rows_;
-  std::vector<std::vector<double>> deltas_;         // [variant][cluster]
-  std::vector<std::vector<BlockSums>> partials_;    // [variant][block]
-  std::vector<KernelScratch> scratch_;              // [block]
-  std::vector<std::vector<const double*>> cols_;    // [block][union row]
-  std::vector<Matrix> stats_;                       // [variant]
-  // Cached-binding state (empty/null for uncached binds).
-  MedoidDistanceCache* cache_ = nullptr;
-  std::vector<size_t> slots_;        // candidate slot per medoid row
-  std::vector<double*> col_base_;    // full-length column per medoid row
-  std::vector<size_t> fresh_rows_;   // medoid rows needing fresh columns
-  std::vector<size_t> fresh_entries_;  // cache entry index per fresh row
-  Matrix fresh_medoids_;             // fresh rows' coordinates, packed
+  std::vector<Job> jobs_;                          // distinct (row, delta)
+  std::vector<std::vector<size_t>> variant_jobs_;  // [variant][cluster]
+  std::vector<size_t> slots_;     // candidate slot per medoid row
+  LocalityMemo* memo_ = nullptr;  // null for unmemoized binds
+  // This scan's jobs the memo could not answer, and the distinct medoid
+  // rows they need distances to.
+  std::vector<FreshJob> fresh_;
+  std::vector<size_t> fresh_rows_;      // union row per fresh row
+  Matrix fresh_medoids_;                // fresh rows' coordinates, packed
+  std::vector<double> thresholds_;      // [fresh row] max delta of its jobs
+  std::vector<BlockSums> partials_;     // [block], fresh jobs x d
+  std::vector<KernelScratch> scratch_;  // [block]
+  std::vector<double> results_;         // jobs x d finished rows
+  std::vector<Matrix> stats_;           // [variant]
   // Sketch-screening state (null/empty when screening is off this scan).
   const SketchPlan* sketch_ = nullptr;
-  bool screening_ = false;           // resolved per scan in Prepare
-  std::vector<double> union_sketches_;   // u x width, row-major
-  std::vector<double> union_masses_;     // [u] L1 mass per medoid
-  std::vector<double> thresholds_;       // [u] max locality delta per row
-  std::vector<double> fresh_sketches_;   // fresh rows' sketches, packed
-  std::vector<double> fresh_masses_;
-  std::vector<double> fresh_thresholds_;
-  std::vector<uint8_t*> exact_base_;  // full-length exact flags (or null)
-  std::vector<std::vector<const uint8_t*>> exact_cols_;  // [block][row]
+  bool screening_ = false;        // resolved per scan in Prepare
+  std::vector<double> sketches_;  // fresh rows x width, row-major
+  std::vector<double> masses_;    // [fresh row] L1 mass
   size_t dims_ = 0;
-  size_t rows_ = 0;  // source rows (= cached column length) this scan
   uint64_t distance_evals_ = 0;
 };
 

@@ -188,12 +188,12 @@ struct FusedScratch {
   Matrix medoid_coords;  // Coordinates of the current medoid set.
   Matrix spec_coords;    // Union coordinates of the speculative sets.
   MedoidScratch medoids;
-  // Per-candidate-slot distance columns shared across scans and restarts:
-  // hill climbing replaces ~1 of k medoids per iteration, so most of each
-  // locality scan's per-point distances were already computed by an
+  // Finished locality statistics shared across scans and restarts: hill
+  // climbing replaces only the bad medoids per iteration, so most of each
+  // locality scan's (medoid, delta) pairs were already accumulated by an
   // earlier scan. Keyed by candidate slot id, which never changes within
   // a run.
-  MedoidDistanceCache dist_cache;
+  LocalityMemo memo;
   std::vector<size_t> next_a;      // Next set if this iteration improves.
   std::vector<size_t> next_b;      // Next set if it does not.
   std::vector<size_t> union_slots;
@@ -246,7 +246,7 @@ Status FusedClimb(const PointSource& source, const ProclusParams& params,
     std::iota(variant_rows[0].begin(), variant_rows[0].end(), size_t{0});
     PROCLUS_RETURN_IF_ERROR(s.locality.Bind(
         &s.medoid_coords, std::move(variant_rows),
-        std::span<const size_t>(current), &s.dist_cache));
+        std::span<const size_t>(current), &s.memo));
   }
   PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&s.locality}));
   ++stats.bootstrap_scans;
@@ -321,16 +321,11 @@ Status FusedClimb(const PointSource& source, const ProclusParams& params,
         variant_rows.push_back(std::move(rows));
         variant_a = 0;
       }
-      if (need_b && need_a && s.next_b == s.next_a) {
+      if (need_b) {
         // In a non-improving iteration current == best, so both branches
-        // see the same bad medoids and draw the same replacements: the
-        // speculative sets coincide. Identical medoid lists produce
-        // identical deltas and identical per-variant sums, so branch B
-        // shares branch A's statistics instead of accumulating the same
-        // locality twice (this is the common case on long plateaus and
-        // was the fused engine's single largest overhead over classic).
-        variant_b = variant_a;
-      } else if (need_b) {
+        // draw the same replacements and the speculative sets coincide;
+        // the consumer then reduces both variants to the same jobs and
+        // accumulates each locality once.
         std::vector<size_t> rows(k);
         for (size_t i = 0; i < k; ++i) {
           const size_t slot = s.next_b[i];
@@ -346,7 +341,7 @@ Status FusedClimb(const PointSource& source, const ProclusParams& params,
       SlotsToCoords(candidate_coords, s.union_slots, &s.spec_coords);
       PROCLUS_RETURN_IF_ERROR(s.locality.Bind(
           &s.spec_coords, std::move(variant_rows),
-          std::span<const size_t>(s.union_slots), &s.dist_cache));
+          std::span<const size_t>(s.union_slots), &s.memo));
       PROCLUS_RETURN_IF_ERROR(
           executor.Run(source, {&s.deviation, &s.locality}));
     } else {
@@ -787,8 +782,8 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   // invariant: num_restarts >= 1 (validated) and every restart runs at
   // least one hill-climbing iteration, which always records a best set.
   PROCLUS_CHECK(!best_slots.empty());
-  stats.locality_cache_hits = fused.dist_cache.hits;
-  stats.locality_cache_misses = fused.dist_cache.misses;
+  stats.locality_cache_hits = fused.memo.hits;
+  stats.locality_cache_misses = fused.memo.misses;
   stats.iterative_scans =
       stats.scans_issued - scans_before_climb - stats.bootstrap_scans;
   stats.iterative_seconds = phase_timer.ElapsedSeconds();

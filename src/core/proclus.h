@@ -133,13 +133,14 @@ struct ProclusParams {
   bool fuse_scans = true;
   /// Enable the random-projection sketch / prefix screens (src/sketch/):
   /// argmin-heavy scans lower-bound candidate distances and skip exact
-  /// evaluations the bound proves irrelevant. Results are bit-identical
-  /// with the screen on or off (DESIGN.md §14); RunStats records
+  /// evaluations the bound proves irrelevant. Off by default: every
+  /// measured PROCLUS fit ran slower with it on (DESIGN.md §14). Results
+  /// are bit-identical with the screen on or off; RunStats records
   /// sketch_rows_{screened,pruned} / sketch_exact_verifications, and
   /// bench/sketch.cc measures the on-vs-off ablation. Excluded from the
   /// checkpoint fingerprint (like fuse_scans): the sketch plan draws from
   /// a private Rng stream, so a resumed run may flip it freely.
-  bool sketch = true;
+  bool sketch = false;
 
   // --- Resilience (no effect on results, only on survival). ---
   /// Retry schedule for transient I/O failures (IOError/DataLoss): scans

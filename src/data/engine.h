@@ -79,6 +79,8 @@ struct ScanGeometry {
   size_t block_rows = 0;
   /// Number of blocks covering the source.
   size_t num_blocks = 0;
+
+  bool operator==(const ScanGeometry&) const = default;
 };
 
 /// One logical computation over a scan: allocates per-block partial state

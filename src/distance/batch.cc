@@ -450,10 +450,8 @@ void ManhattanBatch(std::span<const double> block, size_t rows,
 
 void ManhattanManyBatch(std::span<const double> block, size_t rows,
                         size_t dims_total, const Matrix& points,
-                        KernelScratch& scratch,
-                        std::span<double* const> outs) {
+                        KernelScratch& scratch, double* out) {
   PROCLUS_DCHECK(points.cols() == dims_total);
-  PROCLUS_DCHECK(outs.size() == points.rows());
   const size_t u = points.rows();
   ++scratch.batches;
   scratch.rows_scored += rows * u;
@@ -466,22 +464,12 @@ void ManhattanManyBatch(std::span<const double> block, size_t rows,
     size_t m = 0;
     for (; m + 1 < u; m += 2)
       AccumulatePair(tile, n, dims_total, points.row(m).data(),
-                     points.row(m + 1).data(), nullptr, outs[m] + r0,
-                     outs[m + 1] + r0, ManhattanFold{});
+                     points.row(m + 1).data(), nullptr, out + m * rows + r0,
+                     out + (m + 1) * rows + r0, ManhattanFold{});
     if (m < u)
       AccumulateOne(tile, n, dims_total, points.row(m).data(), nullptr,
-                    outs[m] + r0, ManhattanFold{});
+                    out + m * rows + r0, ManhattanFold{});
   }
-}
-
-void ManhattanManyBatch(std::span<const double> block, size_t rows,
-                        size_t dims_total, const Matrix& points,
-                        KernelScratch& scratch, double* out) {
-  const size_t u = points.rows();
-  scratch.outs.resize(u);
-  for (size_t m = 0; m < u; ++m) scratch.outs[m] = out + m * rows;
-  ManhattanManyBatch(block, rows, dims_total, points, scratch,
-                     std::span<double* const>(scratch.outs));
 }
 
 void SquaredEuclideanBatch(std::span<const double> block, size_t rows,
@@ -657,19 +645,17 @@ void ManhattanManyScreenedBatch(std::span<const double> block, size_t rows,
                                 const SketchSpec& spec,
                                 std::span<const double> thresholds,
                                 double denom, KernelScratch& scratch,
-                                std::span<double* const> outs,
-                                std::span<uint8_t* const> exacts) {
+                                double* out_panel) {
   const size_t u = points.rows();
   PROCLUS_DCHECK(points.cols() == dims_total);
-  PROCLUS_DCHECK(outs.size() == u && thresholds.size() == u);
-  PROCLUS_DCHECK(exacts.empty() || exacts.size() == u);
+  PROCLUS_DCHECK(thresholds.size() == u);
   PROCLUS_DCHECK(scratch.sketch.size() == rows * spec.width);
   ++scratch.batches;
   scratch.rows_scored += rows * u;
   scratch.tile.resize(dims_total * kTileLd);
   // Survivor distances stage in scratch.lb, NOT scratch.dist: the
-  // locality consumer passes `outs` pointers into its own scratch.dist
-  // panel, and resizing that vector here would dangle them.
+  // locality consumer passes its own scratch.dist panel as `out_panel`,
+  // and resizing that vector here would dangle it.
   scratch.lb.resize(kKernelRowTile);
   const size_t width = spec.width;
   const double* row_sketch = scratch.sketch.data();
@@ -680,8 +666,7 @@ void ManhattanManyScreenedBatch(std::span<const double> block, size_t rows,
     const double* ref_sketch = sketches + m * width;
     const double ref_mass = masses[m];
     const double threshold = thresholds[m];
-    double* out = outs[m];
-    uint8_t* exact = exacts.empty() ? nullptr : exacts[m];
+    double* out = out_panel + m * rows;
     scratch.survivors.clear();
     for (size_t r = 0; r < rows; ++r) {
       const double bound = SketchL1Lower(row_sketch + r * width, ref_sketch,
@@ -690,9 +675,8 @@ void ManhattanManyScreenedBatch(std::span<const double> block, size_t rows,
       if (bound > threshold) {
         // The exact distance is >= bound > every delta this scan compares
         // against, so the bound itself is stored: still a true lower
-        // bound of the distance, and flagged non-exact for reuse.
+        // bound of the distance.
         out[r] = bound;
-        if (exact != nullptr) exact[r] = 0;
       } else {
         scratch.survivors.push_back(static_cast<uint32_t>(r));
       }
@@ -711,7 +695,6 @@ void ManhattanManyScreenedBatch(std::span<const double> block, size_t rows,
       for (size_t t = 0; t < n; ++t) {
         const size_t r = rowlist[t];
         out[r] = dist[t] / denom;
-        if (exact != nullptr) exact[r] = 1;
       }
     }
   }

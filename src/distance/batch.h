@@ -94,8 +94,6 @@ struct KernelScratch {
   std::vector<double> dist;    ///< Per-row distances (argmin kernels).
   std::vector<double> best;    ///< Per-row winning distance (argmin).
   std::vector<uint8_t> inside; ///< Per-row sphere flags (refine argmin).
-  std::vector<double*> outs;   ///< Per-reference output pointers.
-  std::vector<uint8_t*> exact_outs;  ///< Per-reference exact-flag pointers.
   // Per-block sketch lifecycle: both buffers are recomputed from the
   // delivered block data on every ConsumeBlock that screens, and never
   // read across deliveries — a retried or re-delivered block can never
@@ -139,15 +137,6 @@ void ManhattanBatch(std::span<const double> block, size_t rows,
 void ManhattanManyBatch(std::span<const double> block, size_t rows,
                         size_t dims_total, const Matrix& points,
                         KernelScratch& scratch, double* out);
-
-/// Scatter-output variant: reference m's distances land at outs[m][0..rows)
-/// instead of a contiguous u x rows panel. Lets a caller stream per-medoid
-/// distance columns into independently-owned buffers (the locality
-/// distance cache) without a copy; same tiling, same bit-exact results.
-void ManhattanManyBatch(std::span<const double> block, size_t rows,
-                        size_t dims_total, const Matrix& points,
-                        KernelScratch& scratch,
-                        std::span<double* const> outs);
 
 /// out[r] = SquaredEuclideanDistance(row r, point); bit-identical.
 void SquaredEuclideanBatch(std::span<const double> block, size_t rows,
@@ -202,24 +191,22 @@ void SketchProjectBlock(std::span<const double> block, size_t rows,
                         size_t dims_total, const SketchSpec& spec,
                         KernelScratch& scratch);
 
-/// Screened variant of the scatter-output ManhattanManyBatch used by the
+/// Screened variant of ManhattanManyBatch used by the
 /// locality scan: for reference m, rows whose safe L1 lower bound
 /// (divided by `denom`, the full-space segmental normalizer) exceeds
-/// thresholds[m] are pruned — outs[m][r] receives the (normalized) lower
-/// bound and exacts[m][r] is 0 — while surviving rows get the exact
-/// normalized distance, bit-identical to ManhattanManyBatch followed by
-/// the caller's per-row division, and exacts[m][r] = 1. `sketches` holds
-/// points.rows() reference sketches of spec.width each and `masses`
-/// their L1 masses. Requires SketchProjectBlock on this scratch first.
-/// `exacts` may be empty when the caller does not persist the columns.
+/// thresholds[m] are pruned — out[m * rows + r] receives the (normalized)
+/// lower bound — while surviving rows get the exact normalized distance,
+/// bit-identical to ManhattanManyBatch followed by the caller's per-row
+/// division. `sketches` holds points.rows() reference sketches of
+/// spec.width each and `masses` their L1 masses. Requires
+/// SketchProjectBlock on this scratch first.
 void ManhattanManyScreenedBatch(std::span<const double> block, size_t rows,
                                 size_t dims_total, const Matrix& points,
                                 const double* sketches, const double* masses,
                                 const SketchSpec& spec,
                                 std::span<const double> thresholds,
                                 double denom, KernelScratch& scratch,
-                                std::span<double* const> outs,
-                                std::span<uint8_t* const> exacts);
+                                double* out);
 
 /// Screened variant of SegmentalArgminBatch: before evaluating medoid
 /// i >= 1 exactly, the kernel accumulates only the first

@@ -14,8 +14,8 @@
 // DESIGN.md §14), so a candidate whose bound already exceeds the current
 // argmin (or a locality threshold) can be skipped without evaluating it,
 // and the survivors are verified by the unmodified exact kernels. Every
-// result — labels, objectives, cached distance columns read by later
-// scans — is bit-identical with screening on or off.
+// result — labels, objectives, locality statistics — is bit-identical
+// with screening on or off.
 //
 // Determinism: the plan's buckets and signs are a pure function of
 // (seed, dims, width). They are drawn from a PRIVATE Rng seeded by

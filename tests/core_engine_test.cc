@@ -18,13 +18,17 @@
 
 #include "test_temp.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 #include <span>
 
 #include "core/consumers.h"
 #include "core/proclus.h"
 #include "data/binary_io.h"
+#include "data/fault_source.h"
+#include "distance/metric.h"
 #include "gen/synthetic.h"
 
 namespace proclus {
@@ -132,6 +136,46 @@ TEST(EngineGoldenTest, FusedReproducesSeedGoldens) {
     EXPECT_EQ(stats.bytes_read, 0u);  // In-memory blocks are zero-copy.
     EXPECT_GT(stats.distance_evals, 0u);
   }
+}
+
+TEST(EngineGoldenTest, LocalityMemoAccumulatesEachKeyOnce) {
+  // The fused climb answers repeated (slot, delta) localities from the
+  // run's memo: a key is accumulated the first time the climb requests
+  // it and never again (Merge enforces it — committing a key twice is a
+  // CHECK failure), so the miss counter is the number of distinct keys
+  // the climb requested. It is a property of the climb alone: thread
+  // count, source and retried scan attempts must not move it, and a
+  // failed attempt commits (and counts) nothing.
+  Fixture fixture = MakeFixture();
+  auto disk = DiskSource::Open(fixture.disk_path);
+  ASSERT_TRUE(disk.ok());
+  MemorySource memory(fixture.data.dataset);
+  FaultPlan plan;
+  plan.seed = 17;
+  plan.fail_rate = 0.05;
+  FaultInjectingPointSource flaky(memory, plan);
+  // Recorded on this fixture: {hits, misses} per golden seed.
+  const uint64_t kCounters[][2] = {{374, 140}, {362, 192}};
+  for (size_t g = 0; g < std::size(kGoldens); ++g) {
+    const Golden& golden = kGoldens[g];
+    SCOPED_TRACE("algo seed " + std::to_string(golden.algo_seed));
+    ProclusParams params = GoldenParams(golden.algo_seed, true);
+    params.retry.max_attempts = 8;
+    for (size_t threads : {1, 4}) {
+      params.num_threads = threads;
+      for (const PointSource* source :
+           {static_cast<const PointSource*>(&memory),
+            static_cast<const PointSource*>(&*disk),
+            static_cast<const PointSource*>(&flaky)}) {
+        auto result = RunProclusOnSource(*source, params);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ExpectGolden(*result, golden);
+        EXPECT_EQ(result->stats.locality_cache_hits, kCounters[g][0]);
+        EXPECT_EQ(result->stats.locality_cache_misses, kCounters[g][1]);
+      }
+    }
+  }
+  EXPECT_GT(flaky.fault_counters().injected_scan_faults, 0u);
 }
 
 TEST(EngineGoldenTest, ClassicReproducesSeedGoldens) {
@@ -249,7 +293,7 @@ TEST(ScanExecutorTest, FusedScanMatchesSeparateScans) {
   EXPECT_EQ(assign_a.cluster_sizes(), assign_b.cluster_sizes());
 }
 
-TEST(ScanExecutorTest, LocalityDistanceCacheMatchesUncached) {
+TEST(ScanExecutorTest, LocalityMemoMatchesUncached) {
   ConsumerFixture fixture = MakeConsumerFixture();
   MemorySource source(fixture.base.data.dataset);
 
@@ -260,47 +304,98 @@ TEST(ScanExecutorTest, LocalityDistanceCacheMatchesUncached) {
   const size_t d = pool.cols();
 
   // A medoid-churn schedule like hill climbing's: repeats (full hits),
-  // single-slot turnover (partial hits), then a sweep past the cache
-  // capacity for u = 3 (max(16, 2*3+4) = 16 entries) so LRU eviction and
-  // re-computation of evicted columns are exercised too.
+  // single-slot turnover (a kept medoid whose nearest neighbour, and so
+  // its delta, may change), fresh sets, and returns to earlier sets.
   const std::vector<std::array<size_t, 3>> schedule = {
       {0, 1, 2},    {0, 1, 2},    {1, 2, 3},    {3, 4, 5},
       {6, 7, 8},    {9, 10, 11},  {12, 13, 14}, {15, 16, 17},
       {18, 19, 20}, {21, 22, 23}, {0, 1, 2},    {21, 22, 23}};
 
-  MedoidDistanceCache cache;
-  RunStats cached_stats;
+  LocalityMemo memo;
+  RunStats memo_stats;
   RunStats plain_stats;
-  ScanExecutor cached_exec(ScanOptions{4, 512, &cached_stats});
+  ScanExecutor memo_exec(ScanOptions{4, 512, &memo_stats});
   ScanExecutor plain_exec(ScanOptions{4, 512, &plain_stats});
-  LocalityStatsConsumer cached;
+  LocalityStatsConsumer memoized;
   LocalityStatsConsumer plain;
 
-  for (const std::array<size_t, 3>& slots : schedule) {
+  auto coords = [&](std::span<const size_t> slots) {
     Matrix medoids(slots.size(), d);
     for (size_t i = 0; i < slots.size(); ++i)
       for (size_t j = 0; j < d; ++j) medoids(i, j) = pool(slots[i], j);
+    return medoids;
+  };
+  for (const std::array<size_t, 3>& slots : schedule) {
+    Matrix medoids = coords(slots);
     std::vector<std::vector<size_t>> variant{{0, 1, 2}};
-    ASSERT_TRUE(cached
+    ASSERT_TRUE(memoized
                     .Bind(&medoids, variant,
-                          std::span<const size_t>(slots), &cache)
+                          std::span<const size_t>(slots), &memo)
                     .ok());
     ASSERT_TRUE(plain.Bind(&medoids, variant).ok());
-    ASSERT_TRUE(cached_exec.Run(source, {&cached}).ok());
+    ASSERT_TRUE(memo_exec.Run(source, {&memoized}).ok());
     ASSERT_TRUE(plain_exec.Run(source, {&plain}).ok());
-    // Reused columns are cached values read back verbatim, so the cached
-    // consumer's statistics are bit-identical, not merely close.
-    EXPECT_EQ(cached.stats(), plain.stats());
+    // Memo hits are committed rows read back verbatim, so the memoized
+    // statistics are bit-identical, not merely close.
+    EXPECT_EQ(memoized.stats(), plain.stats());
+  }
+  EXPECT_GT(memo.hits, 0u);
+  EXPECT_GT(memo.misses, 0u);
+  // One variant per scan: every hit skipped one n-row distance column.
+  EXPECT_EQ(plain_stats.distance_evals - memo_stats.distance_evals,
+            memo.hits * 5000u);
+  // Each committed job is one entry; nothing is ever evicted.
+  EXPECT_EQ(memo.entries.size(), memo.misses);
+
+  // Slots 1 and 2 sit in both {0,1,2} and {1,2,3}. A kept medoid whose
+  // nearest other medoid moved is a new locality: the memo holds it under
+  // both deltas, and the second one was accumulated, not reused.
+  const auto delta = [&](size_t a, std::initializer_list<size_t> others) {
+    double best = std::numeric_limits<double>::infinity();
+    for (size_t b : others)
+      best = std::min(best, ManhattanDistance(pool.row(a), pool.row(b)) /
+                                static_cast<double>(d));
+    return best;
+  };
+  const bool moved1 = delta(1, {0, 2}) != delta(1, {2, 3});
+  const bool moved2 = delta(2, {0, 1}) != delta(2, {1, 3});
+  ASSERT_TRUE(moved1 || moved2);
+  for (size_t slot : {1, 2}) {
+    size_t entries = 0;
+    for (const auto& [key, entry] : memo.entries)
+      if (key.first == slot) ++entries;
+    EXPECT_EQ(entries, (slot == 1 ? moved1 : moved2) ? 2u : 1u)
+        << "slot " << slot;
   }
 
-  EXPECT_GT(cache.hits, 0u);
-  EXPECT_GT(cache.misses, 0u);
-  // Every hit skipped one n-row distance column.
-  EXPECT_EQ(plain_stats.distance_evals - cached_stats.distance_evals,
-            cache.hits * 5000u);
-  // The eviction sweep pushed past capacity, so the final {0,1,2} scan
-  // recomputed columns that were cached earlier.
-  EXPECT_LE(cache.entries.size(), 16u);
+  // Variants sharing (slot, delta) jobs in one scan: the twin {2,1,0}
+  // names exactly the localities of {0,1,2} and adds no job; {0,1,3}
+  // adds slot 3, and slots 0 and 1 only where their delta changed.
+  const std::array<size_t, 4> union_slots{0, 1, 2, 3};
+  Matrix union_coords = coords(union_slots);
+  const std::vector<std::vector<size_t>> variants{
+      {0, 1, 2}, {2, 1, 0}, {0, 1, 3}};
+  LocalityMemo shared;
+  LocalityStatsConsumer multi;
+  LocalityStatsConsumer multi_plain;
+  ASSERT_TRUE(multi
+                  .Bind(&union_coords, variants,
+                        std::span<const size_t>(union_slots), &shared)
+                  .ok());
+  ASSERT_TRUE(multi_plain.Bind(&union_coords, variants).ok());
+  ASSERT_TRUE(memo_exec.Run(source, {&multi}).ok());
+  ASSERT_TRUE(plain_exec.Run(source, {&multi_plain}).ok());
+  const size_t distinct = 4 +
+                          (delta(0, {1, 3}) != delta(0, {1, 2}) ? 1 : 0) +
+                          (delta(1, {0, 3}) != delta(1, {0, 2}) ? 1 : 0);
+  EXPECT_EQ(shared.misses, distinct);
+  EXPECT_EQ(shared.entries.size(), distinct);
+  for (size_t v = 0; v < variants.size(); ++v)
+    EXPECT_EQ(multi.stats(v), multi_plain.stats(v)) << "variant " << v;
+  // The twin variant reads the same job rows in its own order.
+  for (size_t i = 0; i < 3; ++i)
+    for (size_t j = 0; j < d; ++j)
+      EXPECT_EQ(multi.stats(1)(i, j), multi.stats(0)(2 - i, j));
 }
 
 TEST(ScanExecutorTest, ValidatesOptionsAndConsumerList) {

@@ -155,9 +155,10 @@ TEST(EngineStressTest, CachedLocalityBitIdenticalAcrossThreadCounts) {
   Fixture fixture = MakeFixture();
   MemorySource source(fixture.data.dataset);
 
-  // Cached bind: fresh columns are filled by concurrent blocks at
-  // disjoint row ranges of shared cache entries. Two scans per executor
-  // so the second reuses every column the first one committed.
+  // Memoized bind: fresh jobs are accumulated by concurrent blocks into
+  // per-block partials, and the memo is committed on the driving thread.
+  // Two scans per executor so the second answers every job from the
+  // entries the first one committed.
   std::vector<std::vector<size_t>> variants = {{0, 1, 2, 3}, {0, 4, 2, 3}};
   MemorySource fetch_source(fixture.data.dataset);
   std::vector<size_t> union_indices{11, 5000, 11000, 17000, 2000};
@@ -165,31 +166,26 @@ TEST(EngineStressTest, CachedLocalityBitIdenticalAcrossThreadCounts) {
       std::move(fetch_source.Fetch(union_indices)).value();
   const std::vector<size_t> slots{3, 9, 21, 40, 57};
 
-  MedoidDistanceCache base_cache;
   ScanExecutor sequential(ScanOptions{1, 512, nullptr});
   LocalityStatsConsumer base;
-  for (int scan = 0; scan < 2; ++scan) {
-    ASSERT_TRUE(base.Bind(&union_coords, variants,
-                          std::span<const size_t>(slots), &base_cache)
-                    .ok());
-    ASSERT_TRUE(sequential.Run(source, {&base}).ok());
-  }
-  ASSERT_GT(base_cache.hits, 0u);
+  ASSERT_TRUE(base.Bind(&union_coords, variants).ok());
+  ASSERT_TRUE(sequential.Run(source, {&base}).ok());
 
   Sources sources(fixture);
   for (const PointSource* scanned : sources.all) {
     SCOPED_TRACE(scanned == &sources.memory ? "memory" : "disk");
     for (size_t threads : kThreadCounts) {
-      MedoidDistanceCache cache;
+      LocalityMemo memo;
       ScanExecutor executor(ScanOptions{threads, 512, nullptr});
       LocalityStatsConsumer consumer;
       for (int scan = 0; scan < 2; ++scan) {
         ASSERT_TRUE(consumer.Bind(&union_coords, variants,
-                                  std::span<const size_t>(slots), &cache)
+                                  std::span<const size_t>(slots), &memo)
                         .ok());
         ASSERT_TRUE(executor.Run(*scanned, {&consumer}).ok());
       }
-      EXPECT_EQ(cache.hits, base_cache.hits) << threads << " threads";
+      EXPECT_EQ(memo.hits, memo.misses) << threads << " threads";
+      EXPECT_EQ(memo.entries.size(), memo.misses) << threads << " threads";
       for (size_t v = 0; v < 2; ++v)
         EXPECT_EQ(consumer.stats(v), base.stats(v))
             << threads << " threads, variant " << v;
@@ -207,6 +203,7 @@ TEST(EngineStressTest, FusedProclusBitIdenticalAcrossThreadCounts) {
   params.max_iterations = 40;
   params.max_no_improve = 10;
   params.block_rows = 1024;
+  params.sketch = true;  // keeps the threaded prefix screen covered
 
   auto base = RunProclus(fixture.data.dataset, params);
   ASSERT_TRUE(base.ok());

@@ -1,9 +1,9 @@
 // TSan-targeted stress tests for the sketch screens under the threaded
 // engines: every screened consumer keeps its per-block sketch scratch
 // private (recomputed from the delivered block, never read across
-// deliveries) and the cached locality scan's exact-flag columns follow
-// the same ownership partitioning as the distance columns — so results
-// must stay bit-identical to the single-threaded sketch-off reference
+// deliveries) and the memoized locality scan screens only its fresh jobs,
+// committing their rows on the driving thread — so results must stay
+// bit-identical to the single-threaded sketch-off reference
 // for every worker count x shard layout x engine, and TSan must see no
 // races while they do.
 //
@@ -81,57 +81,66 @@ TEST(SketchStressTest, ScreenedLocalityBitIdenticalAcrossWorkerCounts) {
 }
 
 TEST(SketchStressTest, ScreenedCachedFillAndReuseBitIdentical) {
-  // The cached locality scan writes per-medoid exact-flag columns from
-  // every worker concurrently (disjoint row ranges) at fill time, then
-  // later scans REUSE the columns read-only, recomputing only the rows
-  // whose stored lower bound does not settle the threshold comparison.
-  // One-row blocks maximize concurrent writers per column; the second
-  // and third scans hit the committed columns under shrinking deltas
-  // (different variants), exercising the recompute path.
+  // The memoized locality scan screens the fresh jobs' distances from
+  // every worker concurrently, against each fresh row's largest delta;
+  // later scans answer those jobs from the memo and screen only the new
+  // ones. One-row blocks maximize concurrent partials; the three scans
+  // move between variants, so a row comes back under a changed delta and
+  // a changed screening threshold.
   Fixture fixture = MakeFixture();
   const SketchPlan plan =
       BuildSketchPlan(61, fixture.data.dataset.size(), 48);
   ASSERT_TRUE(plan.ScreenProfitable(48));
   MemorySource source(fixture.data.dataset);
-  const std::vector<std::vector<size_t>> variants{{0, 1, 2}, {0, 1, 3}};
+  const std::vector<std::vector<std::vector<size_t>>> schedule{
+      {{0, 1, 2}, {0, 1, 3}}, {{0, 1, 2}}, {{1, 2, 3}, {0, 1, 2}}};
   const std::vector<size_t> slots{2, 5, 8, 13};
 
   for (size_t block_rows : {size_t{1}, size_t{256}}) {
-    // Sketch-off cached reference (sequential): two scans, the second
-    // served from the cache. Per block size — the block-ordered partial
-    // reduction makes block_rows a results-affecting parameter by
-    // design, so the reference must share it.
-    MedoidDistanceCache base_cache;
+    // Sketch-off memoized reference (sequential), per block size — the
+    // block-ordered partial reduction makes block_rows a
+    // results-affecting parameter by design, so the reference must share
+    // it.
+    LocalityMemo base_memo;
+    std::vector<std::vector<Matrix>> expected;
     LocalityStatsConsumer base;
-    for (int scan = 0; scan < 2; ++scan) {
+    for (const auto& variants : schedule) {
       ASSERT_TRUE(base
                       .Bind(&fixture.medoids, variants,
-                            std::span<const size_t>(slots), &base_cache)
+                            std::span<const size_t>(slots), &base_memo)
                       .ok());
       ASSERT_TRUE(ScanExecutor(ScanOptions{1, block_rows, nullptr})
                       .Run(source, {&base})
                       .ok());
+      expected.emplace_back();
+      for (size_t v = 0; v < variants.size(); ++v)
+        expected.back().push_back(base.stats(v));
     }
+    ASSERT_GT(base_memo.hits, 0u);
 
     for (size_t workers : kWorkerCounts) {
       SCOPED_TRACE(std::to_string(workers) + " workers, " +
                    std::to_string(block_rows) + "-row blocks");
-      MedoidDistanceCache cache;
+      LocalityMemo memo;
       LocalityStatsConsumer screened;
       screened.SetSketch(&plan);
-      for (int scan = 0; scan < 2; ++scan) {
+      RunStats stats;
+      for (size_t scan = 0; scan < schedule.size(); ++scan) {
         ASSERT_TRUE(screened
-                        .Bind(&fixture.medoids, variants,
-                              std::span<const size_t>(slots), &cache)
+                        .Bind(&fixture.medoids, schedule[scan],
+                              std::span<const size_t>(slots), &memo)
                         .ok());
-        ASSERT_TRUE(ScanExecutor(ScanOptions{workers, block_rows, nullptr})
-                        .Run(source, {&screened})
-                        .ok());
+        ASSERT_TRUE(
+            ScanExecutor(ScanOptions{workers, block_rows, &stats})
+                .Run(source, {&screened})
+                .ok());
+        for (size_t v = 0; v < schedule[scan].size(); ++v)
+          EXPECT_EQ(screened.stats(v), expected[scan][v])
+              << "scan " << scan << ", variant " << v;
       }
-      for (size_t v = 0; v < variants.size(); ++v)
-        EXPECT_EQ(screened.stats(v), base.stats(v)) << "variant " << v;
-      EXPECT_EQ(cache.hits, base_cache.hits);
-      EXPECT_EQ(cache.misses, base_cache.misses);
+      EXPECT_GT(stats.sketch_rows_pruned, 0u);
+      EXPECT_EQ(memo.hits, base_memo.hits);
+      EXPECT_EQ(memo.misses, base_memo.misses);
     }
   }
 }
